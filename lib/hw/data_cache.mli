@@ -58,17 +58,24 @@ val access_bits : t -> space:int -> va:Va.t -> pa:int -> write:bool -> int
     that wrote back a dirty victim. Never allocates — the hot-loop form. *)
 
 val flush_va_range : t -> space:int -> lo:Va.t -> hi:Va.t -> int * int
-(** Flush (writeback + invalidate) every line whose virtual tag falls in
-    [lo, hi); returns [(lines_flushed, writebacks)]. Used when unmapping a
-    page. On a [Pipt] cache this flushes by resident physical lines of the
-    given virtual range's translations and is driven by the caller per-page. *)
+(** Flush (writeback + invalidate) every line filled through a virtual
+    address in [lo, hi) — and, on [Vivt], under [space]; returns
+    [(lines_flushed, writebacks)]. Used when unmapping a page. Every
+    organization matches the virtual line each line was filled through,
+    [Pipt] included. [Vivt] and [Vipt] caches index by that line, so a
+    range of fewer lines than {!sets} visits only the sets it maps to;
+    [Pipt] caches, and longer ranges, check every line. *)
 
 val flush_va_range_count : t -> space:int -> lo:Va.t -> hi:Va.t -> int
 (** {!flush_va_range} without the result pair: returns the flushed-line
     count only. Never allocates — the page-replacement form. *)
 
 val flush_pa_page : t -> pfn:int -> page_shift:int -> int * int
-(** Flush every line resident for the given physical page. *)
+(** Flush every line resident for the given physical page; returns
+    [(lines_flushed, writebacks)]. A [Pipt] cache visits only the sets the
+    page's lines map to when the page has fewer lines than {!sets};
+    otherwise every line is checked.
+    @raise Invalid_argument if the page is smaller than a line. *)
 
 val flush_all : t -> int * int
 (** Full flush: [(lines, writebacks)]. *)

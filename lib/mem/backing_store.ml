@@ -4,14 +4,15 @@ open Sasos_util
    two Flat_tab key lanes (k1 = low 30 bits, always non-negative; k2 =
    high bits) so 49-bit vpns keep full precision.  Page-out sits on the
    page-replacement path, where a hashtable bucket or option per write
-   would break the zero-allocation eviction discipline. *)
+   would break the zero-allocation eviction discipline.  Never iterated,
+   so it starts small and grows with the pages a run actually writes. *)
 
 type t = { table : Flat_tab.t; mutable bytes : int }
 
 let vpn_k1 vpn = vpn land 0x3FFF_FFFF
 let vpn_k2 vpn = vpn lsr 30
 
-let create () = { table = Flat_tab.create ~size_hint:1024 (); bytes = 0 }
+let create () = { table = Flat_tab.create (); bytes = 0 }
 
 let write t ~vpn ~bytes_used =
   let k1 = vpn_k1 vpn and k2 = vpn_k2 vpn in

@@ -1,8 +1,12 @@
 (** Physical page-frame allocator.
 
-    A simple free-list over a fixed number of frames. When memory is
-    exhausted the machines invoke page replacement (in the paging
-    experiments) or the allocator refuses. *)
+    Hands out frame numbers in a fixed order: frames that were freed come
+    back first, most recently freed first; after them, frames never handed
+    out, in ascending order from 0. Frames never handed out are an implicit
+    range and freed frames sit on a stack that grows on demand, so
+    {!create} costs O(1) whatever the frame count. When memory is exhausted
+    the machines invoke page replacement (in the paging experiments) or the
+    allocator refuses. *)
 
 type t
 
@@ -21,6 +25,7 @@ val free : t -> int -> unit
     already free (double free). *)
 
 val is_free : t -> int -> bool
+(** @raise Invalid_argument if the frame is out of range. *)
 
 val alloc_int : t -> int
 (** Like {!alloc} but returns [-1] when memory is full; never allocates. *)

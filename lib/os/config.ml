@@ -83,6 +83,19 @@ let v ?(geom = default.geom) ?(cost = default.cost) ?(seed = default.seed)
          "Config.v: %d frames exceed the %d-bit physical address space \
           (max %d frames of 2^%d bytes)"
          frames geom.Geometry.pa_bits pfn_space geom.Geometry.page_shift);
+  (* A cache line larger than a page would make flushing a page's lines
+     shift by a negative amount: a physical-page flush would then miss the
+     page's lines and take another page's. *)
+  let page_bytes = Geometry.page_size geom in
+  let check_line what line =
+    if line > page_bytes then
+      invalid_arg
+        (Printf.sprintf
+           "Config.v: %d-byte %s lines exceed the %d-byte page (page_shift %d)"
+           line what page_bytes geom.Geometry.page_shift)
+  in
+  check_line "cache" cache_line;
+  if l2_bytes > 0 then check_line "L2" l2_line;
   {
     geom;
     cost;

@@ -85,4 +85,7 @@ val v :
   unit ->
   t
 (** Build a configuration, defaulting every field from {!default}. When
-    [plb_shifts] is omitted it follows [geom.prot_shift]. *)
+    [plb_shifts] is omitted it follows [geom.prot_shift].
+    @raise Invalid_argument if [frames] exceed the physical address space,
+    or if [cache_line] (or [l2_line], when [l2_bytes > 0]) is larger than
+    a page. *)

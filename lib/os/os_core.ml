@@ -91,7 +91,7 @@ let create (config : Config.t) =
              overrides = Hashtbl.create 1024;
              override_counts = Hashtbl.create 256;
            });
-    resident_fifo = Int_queue.create ~capacity:4096 ();
+    resident_fifo = Int_queue.create ();
     domains = [];
     next_pd = 1;
     current = Pd.kernel;

@@ -54,6 +54,21 @@ let test_cost_model_override () =
   (* the PLB miss path pays the inflated trap cost *)
   Alcotest.(check bool) "trap cost honored" true (m.Metrics.cycles - before > 1000)
 
+let test_lines_fit_pages () =
+  let geom = Geometry.v ~page_shift:4 () in
+  Alcotest.check_raises "L1 lines larger than a 16-byte page"
+    (Invalid_argument
+       "Config.v: 32-byte cache lines exceed the 16-byte page (page_shift 4)")
+    (fun () -> ignore (Config.v ~geom ()));
+  let geom = Geometry.v ~page_shift:5 () in
+  ignore (Config.v ~geom ());
+  Alcotest.check_raises "L2 lines larger than a 32-byte page"
+    (Invalid_argument
+       "Config.v: 64-byte L2 lines exceed the 32-byte page (page_shift 5)")
+    (fun () -> ignore (Config.v ~geom ~l2_bytes:65536 ()));
+  (* a disabled L2 has no lines to check *)
+  ignore (Config.v ~geom ~l2_bytes:0 ~l2_line:4096 ())
+
 let suite =
   [
     Alcotest.test_case "defaults" `Quick test_defaults;
@@ -62,4 +77,6 @@ let suite =
     Alcotest.test_case "machines respect config" `Quick
       test_machines_respect_config;
     Alcotest.test_case "cost model override" `Quick test_cost_model_override;
+    Alcotest.test_case "cache lines must fit a page" `Quick
+      test_lines_fit_pages;
   ]

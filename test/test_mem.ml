@@ -20,6 +20,101 @@ let test_frame_double_free () =
     (Invalid_argument "Frame_allocator.free: double free") (fun () ->
       Frame_allocator.free f a)
 
+(* Lockstep against the prebuilt-stack reference model: the same
+   frames in the same order, the same rejected frees, the same counts. *)
+type fa_op = Alloc | Alloc_int | Free of int | Is_free of int
+
+let fa_op_to_string = function
+  | Alloc -> "alloc"
+  | Alloc_int -> "alloc_int"
+  | Free f -> Printf.sprintf "free %d" f
+  | Is_free f -> Printf.sprintf "is_free %d" f
+
+let gen_fa_case =
+  let open QCheck2.Gen in
+  let* frames = oneofl [ 1; 2; 3; 64; 65_536 ] in
+  (* frames are handed out from 0 up, so low numbers are the live ones;
+     the boundaries exercise the bad-frame checks *)
+  let frame =
+    frequency
+      [
+        (6, int_range (-1) (min frames 80));
+        (1, oneofl [ frames - 1; frames; frames + 1; -2 ]);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, return Alloc);
+        (3, return Alloc_int);
+        (4, map (fun f -> Free f) frame);
+        (2, map (fun f -> Is_free f) frame);
+      ]
+  in
+  let+ ops = list_size (int_range 0 300) op in
+  (frames, ops)
+
+let print_fa_case (frames, ops) =
+  Printf.sprintf "frames=%d [%s]" frames
+    (String.concat "; " (List.map fa_op_to_string ops))
+
+let outcome f =
+  match f () with
+  | s -> s
+  | exception Invalid_argument m -> "Invalid_argument " ^ m
+
+let prop_frame_allocator_lockstep =
+  QCheck2.Test.make ~count:300 ~name:"frame allocator matches prebuilt-stack model"
+    ~print:print_fa_case gen_fa_case (fun (frames, ops) ->
+      let t = Frame_allocator.create ~frames in
+      let m = Ref_frame_allocator.create ~frames in
+      let opt = function None -> "None" | Some f -> string_of_int f in
+      List.iteri
+        (fun i op ->
+          let got, want =
+            match op with
+            | Alloc ->
+                ( outcome (fun () -> opt (Frame_allocator.alloc t)),
+                  outcome (fun () -> opt (Ref_frame_allocator.alloc m)) )
+            | Alloc_int ->
+                ( outcome (fun () -> string_of_int (Frame_allocator.alloc_int t)),
+                  outcome (fun () ->
+                      string_of_int (Ref_frame_allocator.alloc_int m)) )
+            | Free f ->
+                ( outcome (fun () -> Frame_allocator.free t f; "()"),
+                  outcome (fun () -> Ref_frame_allocator.free m f; "()") )
+            | Is_free f ->
+                ( outcome (fun () -> string_of_bool (Frame_allocator.is_free t f)),
+                  outcome (fun () ->
+                      string_of_bool (Ref_frame_allocator.is_free m f)) )
+          in
+          let counts (total, free, used) = Printf.sprintf "%d/%d/%d" total free used in
+          let got = got ^ " " ^ counts Frame_allocator.(total t, free_count t, used_count t)
+          and want =
+            want ^ " "
+            ^ counts Ref_frame_allocator.(total m, free_count m, used_count m)
+          in
+          if got <> want then
+            QCheck2.Test.fail_reportf "op %d (%s): got %s, model %s" i
+              (fa_op_to_string op) got want)
+        ops;
+      true)
+
+let test_frame_create_is_lazy () =
+  (* no per-frame stack: one would cost a word per frame, 16M words here *)
+  let frames = 1 lsl 24 in
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  let f = Frame_allocator.create ~frames in
+  let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocates %.0f words < frames / 4" words)
+    true
+    (words < float_of_int (frames / 4));
+  Alcotest.(check int) "all free" frames (Frame_allocator.free_count f);
+  Alcotest.(check bool) "last frame free" true
+    (Frame_allocator.is_free f (frames - 1))
+
 let test_ipt () =
   let t = Inverted_page_table.create () in
   Inverted_page_table.map t ~vpn:10 ~pfn:3;
@@ -74,6 +169,9 @@ let suite =
   [
     Alcotest.test_case "frame allocator" `Quick test_frame_alloc;
     Alcotest.test_case "double free rejected" `Quick test_frame_double_free;
+    Qprop.to_alcotest prop_frame_allocator_lockstep;
+    Alcotest.test_case "create builds no per-frame stack" `Quick
+      test_frame_create_is_lazy;
     Alcotest.test_case "inverted page table" `Quick test_ipt;
     Alcotest.test_case "backing store" `Quick test_backing_store;
     Alcotest.test_case "compressor" `Quick test_compressor;
