@@ -83,8 +83,6 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* the packed OS-table/structure backend is the point of this rig *)
-  Hw.Packed_cache.set_default_backend Hw.Packed_cache.Packed;
   let cfg shards =
     {
       Shard.default with

@@ -107,7 +107,6 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Hw.Packed_cache.set_default_backend Hw.Packed_cache.Packed;
   Printf.printf
     "== shootdown: GC-class revocation storm, %d rounds x %d touches, plb \
      (packed) ==\n%!"

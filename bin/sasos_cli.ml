@@ -85,19 +85,21 @@ let backend_conv =
         Format.pp_print_string fmt (Sasos.Hw.Packed_cache.backend_to_string b)
     )
 
-(* shared by report/check/profile: selects the PLB/TLB/page-group-cache
-   implementation for every machine built afterwards (worker domains are
-   spawned after the flag is applied, so they observe it too) *)
+(* shared by report/check/profile/scale: selects the PLB/TLB/page-group
+   cache and OS-table implementation for every machine built afterwards
+   (worker domains are spawned after the flag is applied, so they observe
+   it too) *)
 let backend_term =
   Arg.(
     value
     & opt (some backend_conv) None
     & info [ "backend" ] ~docv:"ref|packed"
         ~doc:
-          "Protection-structure cache backend: $(b,ref) (the boxed \
-           Assoc_cache reference model, the default) or $(b,packed) \
-           (unboxed zero-allocation int lanes). The two must behave \
-           identically; the differential harness drives both.")
+          "Protection-structure and OS-table backend: $(b,packed) \
+           (unboxed zero-allocation int lanes, the default) or $(b,ref) \
+           (the boxed Assoc_cache and Hashtbl reference model). The two \
+           must behave identically; the differential harness and the \
+           byte-identical report gates drive both.")
 
 let set_backend backend =
   Option.iter Sasos.Hw.Packed_cache.set_default_backend backend

@@ -1,9 +1,11 @@
 (** Generic set-associative hardware cache model.
 
-    All of the lookup structures in the simulator — TLB, PLB, page-group
-    cache, data cache — are instances of this functor. It models a cache of
-    [sets × ways] slots with a replacement policy, and counts hits, misses,
-    insertions, evictions and purge sweeps.
+    The reference model of the simulator's protection lookup structures:
+    the TLB, PLB and page-group cache run on {!Packed_cache}'s int lanes,
+    and its [Ref] backend routes the same calls through this functor so
+    the lockstep tests and [--backend ref] can compare the two. It models
+    a cache of [sets × ways] slots with a replacement policy, and counts
+    hits, misses, insertions, evictions and purge sweeps.
 
     A fully associative structure is [sets = 1]. *)
 

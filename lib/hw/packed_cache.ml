@@ -10,15 +10,17 @@ let backend_to_string = function Ref -> "ref" | Packed -> "packed"
 
 (* Written once by the CLI before any machine (or worker domain) exists,
    read at create time ever after; Atomic keeps the cross-domain read
-   well-defined under the OCaml 5 memory model. *)
-let global_backend : backend Atomic.t = Atomic.make Ref
+   well-defined under the OCaml 5 memory model. Production runs on the
+   int lanes; [Ref] is selected explicitly by the lockstep suites and the
+   cross-backend gates. *)
+let global_backend : backend Atomic.t = Atomic.make Packed
 
 let default_backend () = Atomic.get global_backend
 let set_default_backend b = Atomic.set global_backend b
 
 let absent = -1
 
-(* --- reference backend: the boxed model, kept authoritative ----------- *)
+(* --- reference backend: the boxed model, the lockstep oracle ---------- *)
 
 (* The key record carries the caller's hash so set placement is decided by
    exactly the same value on both backends. *)
@@ -317,6 +319,9 @@ let mem t ~hash ~k1 ~k2 =
 
 let insert t ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
+  (* checked here too, not only in [raw_insert], so the reference backend
+     keeps the same contract *)
+  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
   match t with
   | R r -> begin
       match RC.insert r.rc { RKey.h = hash; k1; k2 } v with

@@ -19,10 +19,10 @@
     allocate).
 
     Every instance carries a {!backend}: [Packed] is the int-lane
-    implementation, [Ref] routes the same API through {!Assoc_cache}
-    (the reference model, kept authoritative). A differential harness can
-    therefore drive both through one interface; see
-    [test/test_packed_cache.ml]. *)
+    implementation every surface runs on, [Ref] routes the same API
+    through {!Assoc_cache} (the reference model the packed lanes are
+    checked against). A differential harness can therefore drive both
+    through one interface; see [test/test_packed_cache.ml]. *)
 
 type backend = Ref | Packed
 
@@ -33,7 +33,11 @@ val backend_to_string : backend -> string
 
 val default_backend : unit -> backend
 (** Process-global default used when {!create} (or a wrapper's [create])
-    is called without an explicit backend. Initially [Ref]. *)
+    is called without an explicit backend, and by the OS tables
+    ([Os_core], [Inverted_page_table], [Segment_table], [Cap_registry])
+    to choose their representation. Initially [Packed]; [Ref] is reached
+    only by an explicit {!set_default_backend}, [~backend:Ref] or the
+    CLI's [--backend ref]. *)
 
 val set_default_backend : backend -> unit
 (** Set the global default. Called by the CLI's [--backend] flag before
@@ -77,7 +81,8 @@ val insert : t -> hash:int -> k1:int -> k2:int -> int -> unit
     resident key is an LRU touch (FIFO keeps insertion order); a fresh key
     fills a free way or evicts the policy's victim (counted). The victim,
     if any, is readable via {!last_eviction} until the next [insert].
-    @raise Invalid_argument on a negative payload. *)
+    @raise Invalid_argument on a negative payload or a negative [k1], on
+    either backend. *)
 
 val last_eviction : t -> (int * int * int) option
 (** [(k1, k2, payload)] evicted by the most recent {!insert}, or [None]

@@ -21,8 +21,12 @@ type t =
   | Href of (Va.vpn, mapping) Hashtbl.t
   | Flat of Flat_tab.t
 
-let create ?(packed = false) () =
-  if packed then Flat (Flat_tab.create ~size_hint:4096 ())
+(* The packed table starts at Flat_tab's default capacity and doubles on
+   demand: a machine maps what its run touches, often a few pages, and
+   nothing reads the table's iteration order back into output. *)
+let create ?(packed = Sasos_hw.Packed_cache.(default_backend () = Packed))
+    () =
+  if packed then Flat (Flat_tab.create ())
   else Href (Hashtbl.create 4096)
 
 let map t ~vpn ~pfn =

@@ -8,7 +8,7 @@
 
     Two storage backends share one interface. The reference backend keeps
     a [Hashtbl] of mutable mapping records; the packed backend
-    ([create ~packed:true]) stores each entry as one int in flat
+    ([create ~packed:true], the default) stores each entry as one int in flat
     {!Sasos_util.Flat_tab} lanes so lookups never allocate — required for
     tens of millions of pages. On the packed backend {!find} returns a
     {e snapshot}: mutating the returned record does not write back (use
@@ -25,6 +25,7 @@ type mapping = {
 type t
 
 val create : ?packed:bool -> unit -> t
+(** [packed] defaults to [Packed_cache.default_backend () = Packed]. *)
 
 val map : t -> vpn:Va.vpn -> pfn:int -> unit
 (** @raise Invalid_argument if the page is already mapped (a SASOS has

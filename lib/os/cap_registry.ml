@@ -22,7 +22,8 @@ type t = {
       (* segments seen at mint time, for attach *)
 }
 
-let create ?(packed = false) ?(seed = 0xca9) () =
+let create ?(packed = Sasos_hw.Packed_cache.(default_backend () = Packed))
+    ?(seed = 0xca9) () =
   {
     rng = Prng.create ~seed;
     store =

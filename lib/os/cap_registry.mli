@@ -14,7 +14,8 @@ type t
 val create : ?packed:bool -> ?seed:int -> unit -> t
 (** [~packed:true] keeps the check index in flat int lanes (the 64-bit
     check split across two key lanes at full precision) so {!validate}
-    never allocates; the default keeps the reference [Hashtbl]. *)
+    never allocates; [~packed:false] keeps the reference [Hashtbl].
+    [packed] defaults to [Packed_cache.default_backend () = Packed]. *)
 
 (** {2 Capabilities} *)
 

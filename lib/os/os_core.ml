@@ -23,9 +23,11 @@ open Sasos_mem
        [dom_live]    created-and-not-destroyed pds, because the reference
                      semantics consult only created domains.
 
-   Both backends are QCheck-lockstepped (test/test_os_store.ml) and the
-   packed one is additionally gated by the differential harness, corpus
-   replay and the byte-identical report rules via [--backend packed]. *)
+   [Sflat] is what every surface runs on; [Sref] is the reference model,
+   reached only through [--backend ref] or an explicit
+   [set_default_backend Ref].  The two are QCheck-lockstepped op by op
+   (test/test_os_store.ml), and corpus replay and the byte-identical
+   report rules compare whole runs against [--backend ref]. *)
 
 type flat_store = {
   f_attachments : Flat_tab.t; (* k1 = pd, k2 = seg id -> rights *)
@@ -75,14 +77,18 @@ let create (config : Config.t) =
     disk = Backing_store.create ();
     store =
       (if packed then
+         (* every flat table starts small and grows on demand: a machine
+            build pays for what its run stores, not for a guess at it. No
+            iteration order of these tables reaches output (destroy_domain
+            folds only to collect the keys it removes). *)
          Sflat
            {
-             f_attachments = Flat_tab.create ~size_hint:256 ();
-             f_overrides = Flat_tab.create ~size_hint:1024 ();
-             f_override_counts = Flat_tab.create ~size_hint:256 ();
-             f_unit_over = Flat_tab.create ~size_hint:1024 ();
-             f_seg_doms = Hashtbl.create 256;
-             f_dom_live = Flat_tab.create ~size_hint:256 ();
+             f_attachments = Flat_tab.create ();
+             f_overrides = Flat_tab.create ();
+             f_override_counts = Flat_tab.create ();
+             f_unit_over = Flat_tab.create ();
+             f_seg_doms = Hashtbl.create 8;
+             f_dom_live = Flat_tab.create ();
            }
        else
          Sref

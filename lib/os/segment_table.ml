@@ -37,7 +37,8 @@ let initial_base = 0x100_0000
 (* Keep simulated addresses within OCaml's 62 usable bits. *)
 let address_limit = 1 lsl 61
 
-let create ?(packed = false) geom =
+let create ?(packed = Sasos_hw.Packed_cache.(default_backend () = Packed))
+    geom =
   let repr =
     if packed then
       Flat_repr

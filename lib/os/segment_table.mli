@@ -10,8 +10,9 @@ type t
 
 val create : ?packed:bool -> Geometry.t -> t
 (** [~packed:true] keeps live segments in flat sorted int-array lanes
-    ({!find_id_by_va} becomes a zero-allocation binary search); the
-    default keeps the reference [Map]/[Hashtbl] representation. Both
+    ({!find_id_by_va} becomes a zero-allocation binary search);
+    [~packed:false] keeps the reference [Map]/[Hashtbl] representation.
+    [packed] defaults to [Packed_cache.default_backend () = Packed]. Both
     expose identical semantics and iteration order (ascending base). *)
 
 val allocate : t -> ?name:string -> ?align_shift:int -> pages:int -> unit -> Segment.t

@@ -663,27 +663,35 @@ let test_l2_disabled_by_default () =
   let m = System_ops.metrics sys in
   Alcotest.(check int) "no L2 traffic" 0 (m.Metrics.l2_hits + m.Metrics.l2_misses)
 
-(* Building a default machine must cost what a run uses, not what its
-   configuration could hold: a word per frame for 65,536 frames, or a
-   record per line for 2,048 cache lines, would each break the budget.
-   Pinned to the default reference backend so the budget does not depend
-   on what other tests left in the global. *)
-let test_build_allocation v () =
-  let backend = Hw.Packed_cache.default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Hw.Packed_cache.set_default_backend backend)
-    (fun () ->
-      Hw.Packed_cache.set_default_backend Hw.Packed_cache.Ref;
+(* Words allocated by one default build of [v] on [backend]. *)
+let build_words backend v =
+  Backends.with_backend backend (fun () ->
       ignore (mk v);
       (* a minor collection inside the window would count the words it
          promotes a second time; an empty minor heap keeps it out *)
       Gc.minor ();
       let a0 = Gc.allocated_bytes () in
       ignore (Sys.opaque_identity (mk v));
-      let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
-      Alcotest.(check bool)
-        (Printf.sprintf "%.0f words <= 40,000" words)
-        true (words <= 40_000.))
+      (Gc.allocated_bytes () -. a0) /. 8.0)
+
+(* Building a default machine must cost what a run uses, not what its
+   configuration could hold: a word per frame for 65,536 frames, a record
+   per line for 2,048 cache lines, or OS tables pre-sized for thousands of
+   entries would each break the budget. *)
+let test_build_allocation backend v () =
+  let words = build_words backend v in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= 40,000" words)
+    true (words <= 40_000.)
+
+(* The production backend must not make building dearer than the
+   reference model it replaced as the default. *)
+let test_packed_build_le_ref v () =
+  let packed = build_words Hw.Packed_cache.Packed v in
+  let reference = build_words Hw.Packed_cache.Ref v in
+  Alcotest.(check bool)
+    (Printf.sprintf "packed %.0f words <= ref %.0f words" packed reference)
+    true (packed <= reference)
 
 let suite =
   for_all_machines "basic protection" test_basic_protection
@@ -700,11 +708,21 @@ let suite =
       test_destroy_running_domain_rejected
   @ for_all_machines "switch metrics" test_switch_metrics
   @ for_all_machines "access metrics" test_access_metrics
-  @ List.map
+  @ List.concat_map
       (fun (label, v) ->
-        Alcotest.test_case
-          (Printf.sprintf "default build allocates <= 40K words [%s]" label)
-          `Quick (test_build_allocation v))
+        [
+          Alcotest.test_case
+            (Printf.sprintf "default build allocates <= 40K words [%s]" label)
+            `Quick
+            (test_build_allocation Hw.Packed_cache.Packed v);
+          Alcotest.test_case
+            (Printf.sprintf "ref build allocates <= 40K words [%s]" label)
+            `Quick
+            (test_build_allocation Hw.Packed_cache.Ref v);
+          Alcotest.test_case
+            (Printf.sprintf "packed build allocates <= ref build [%s]" label)
+            `Quick (test_packed_build_le_ref v);
+        ])
       variants
   @ [
       Alcotest.test_case "plb: switch = one register" `Quick

@@ -127,19 +127,29 @@ let test_kernel_entry_cost () =
     Config.default.Config.cost.Hw.Cost_model.kernel_trap
     os.Os_core.metrics.Hw.Metrics.cycles
 
-let suite =
+let cases =
   [
-    Alcotest.test_case "rights resolution" `Quick test_rights_resolution;
-    Alcotest.test_case "rights outside segments" `Quick
-      test_rights_outside_segments;
-    Alcotest.test_case "detach clears overrides" `Quick
-      test_detach_clears_overrides;
-    Alcotest.test_case "override unit tracking" `Quick test_override_units;
-    Alcotest.test_case "domains_with_rights" `Quick test_domains_with_rights;
-    Alcotest.test_case "ensure_mapped + eviction" `Quick
-      test_ensure_mapped_and_eviction;
-    Alcotest.test_case "dirty writeback to disk" `Quick
-      test_dirty_writeback_to_disk;
-    Alcotest.test_case "pa_of" `Quick test_pa_of;
-    Alcotest.test_case "kernel entry cost" `Quick test_kernel_entry_cost;
+    ("rights resolution", test_rights_resolution);
+    ("rights outside segments", test_rights_outside_segments);
+    ("detach clears overrides", test_detach_clears_overrides);
+    ("override unit tracking", test_override_units);
+    ("domains_with_rights", test_domains_with_rights);
+    ("ensure_mapped + eviction", test_ensure_mapped_and_eviction);
+    ("dirty writeback to disk", test_dirty_writeback_to_disk);
+    ("pa_of", test_pa_of);
+    ("kernel entry cost", test_kernel_entry_cost);
   ]
+
+(* Every case runs on the production backend under its own name, and
+   again on the reference backend. *)
+let suite =
+  List.map
+    (fun (name, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Backends.with_backend Hw.Packed_cache.Packed f))
+    cases
+  @ List.map
+      (fun (name, f) ->
+        Alcotest.test_case (name ^ " [ref]") `Quick (fun () ->
+            Backends.with_backend Hw.Packed_cache.Ref f))
+      cases

@@ -179,6 +179,156 @@ let test_cap_registry_lockstep () =
         (Cap_registry.validate packed_r c))
     !caps
 
+(* --- Os_core protection store: Sflat vs Sref ------------------------- *)
+
+(* One Os_core per backend, driven by the same random sequence of
+   protection-truth operations over a few segments. After every op the two
+   must answer every query identically, for every created domain (live or
+   destroyed), every segment and a probe set that includes each segment's
+   guard page. *)
+
+type store_op =
+  | New_domain
+  | Destroy_domain of int
+  | Set_attachment of int * int * int (* pd index, segment, rights *)
+  | Remove_attachment of int * int
+  | Set_override of int * int * int * int (* pd index, segment, unit, rights *)
+  | Clear_override of int * int * int
+
+let print_store_op = function
+  | New_domain -> "New_domain"
+  | Destroy_domain d -> Printf.sprintf "Destroy_domain %d" d
+  | Set_attachment (d, s, r) -> Printf.sprintf "Set_attachment (%d,%d,%d)" d s r
+  | Remove_attachment (d, s) -> Printf.sprintf "Remove_attachment (%d,%d)" d s
+  | Set_override (d, s, u, r) ->
+      Printf.sprintf "Set_override (%d,%d,%d,%d)" d s u r
+  | Clear_override (d, s, u) -> Printf.sprintf "Clear_override (%d,%d,%d)" d s u
+
+let store_op_gen =
+  let open QCheck2.Gen in
+  let d = int_bound 7 and s = int_bound 2 and r = int_bound 7 in
+  (* unit indexes run past the smaller segments' ends, into their guard
+     pages and the next segment *)
+  let u = int_bound 8 in
+  frequency
+    [
+      (3, return New_domain);
+      (1, map (fun d -> Destroy_domain d) d);
+      (4, map3 (fun d s r -> Set_attachment (d, s, r)) d s r);
+      (2, map2 (fun d s -> Remove_attachment (d, s)) d s);
+      (5, map4 (fun d s u r -> Set_override (d, s, u, r)) d s u r);
+      (3, map3 (fun d s u -> Clear_override (d, s, u)) d s u);
+    ]
+
+let store_lockstep config ops =
+  let os_on backend =
+    Backends.with_backend backend (fun () -> Os_core.create config)
+  in
+  let a = os_on Hw.Packed_cache.Ref in
+  let b = os_on Hw.Packed_cache.Packed in
+  let alloc pages =
+    let sa = Segment_table.allocate a.Os_core.segments ~pages () in
+    let sb = Segment_table.allocate b.Os_core.segments ~pages () in
+    assert (sa.Segment.base = sb.Segment.base);
+    sa
+  in
+  let segs = [| alloc 2; alloc 4; alloc 1 |] in
+  let prot = 1 lsl config.Config.geom.Geometry.prot_shift in
+  (* every protection unit of every segment, plus its guard page *)
+  let probes =
+    Array.to_list segs
+    |> List.concat_map (fun seg ->
+           List.init
+             ((Segment.limit seg - seg.Segment.base) / prot + 1)
+             (fun i -> seg.Segment.base + (i * prot)))
+  in
+  let pds = ref [||] in
+  let pd i = !pds.(i mod Array.length !pds) in
+  let unit_va s u = segs.(s).Segment.base + (u * prot) in
+  let rights_list l =
+    List.map (fun (p, r) -> (Pd.to_int p, Rights.to_int r)) l
+  in
+  let same what x y =
+    if x <> y then QCheck2.Test.fail_reportf "%s: ref and packed differ" what
+  in
+  let compare_all step =
+    let ctx q = Printf.sprintf "after op %d, %s" step q in
+    List.iter
+      (fun va ->
+        same
+          (ctx (Printf.sprintf "page_has_override 0x%x" va))
+          (Os_core.page_has_override a va)
+          (Os_core.page_has_override b va);
+        same
+          (ctx (Printf.sprintf "domains_with_rights 0x%x" va))
+          (rights_list (Os_core.domains_with_rights a va))
+          (rights_list (Os_core.domains_with_rights b va)))
+      probes;
+    Array.iter
+      (fun p ->
+        List.iter
+          (fun va ->
+            same
+              (ctx (Printf.sprintf "rights pd%d 0x%x" (Pd.to_int p) va))
+              (Rights.to_int (Os_core.rights a p va))
+              (Rights.to_int (Os_core.rights b p va)))
+          probes;
+        Array.iter
+          (fun seg ->
+            let q what =
+              ctx
+                (Printf.sprintf "%s pd%d seg 0x%x" what (Pd.to_int p)
+                   seg.Segment.base)
+            in
+            same (q "attachment")
+              (Option.map Rights.to_int (Os_core.attachment a p seg))
+              (Option.map Rights.to_int (Os_core.attachment b p seg));
+            same (q "has_overrides")
+              (Os_core.has_overrides a p seg)
+              (Os_core.has_overrides b p seg);
+            same
+              (q "override_units_in_segment")
+              (Os_core.override_units_in_segment a p seg)
+              (Os_core.override_units_in_segment b p seg))
+          segs)
+      !pds
+  in
+  let apply op =
+    (* every op but New_domain needs a domain to act on *)
+    match if Array.length !pds = 0 then New_domain else op with
+    | New_domain ->
+        let pa = Os_core.new_domain a and pb = Os_core.new_domain b in
+        same "new_domain" (Pd.to_int pa) (Pd.to_int pb);
+        pds := Array.append !pds [| pa |]
+    | Destroy_domain d ->
+        Os_core.destroy_domain a (pd d);
+        Os_core.destroy_domain b (pd d)
+    | Set_attachment (d, s, r) ->
+        Os_core.set_attachment a (pd d) segs.(s) (Rights.of_int r);
+        Os_core.set_attachment b (pd d) segs.(s) (Rights.of_int r)
+    | Remove_attachment (d, s) ->
+        Os_core.remove_attachment a (pd d) segs.(s);
+        Os_core.remove_attachment b (pd d) segs.(s)
+    | Set_override (d, s, u, r) ->
+        Os_core.set_override a (pd d) (unit_va s u) (Rights.of_int r);
+        Os_core.set_override b (pd d) (unit_va s u) (Rights.of_int r)
+    | Clear_override (d, s, u) ->
+        Os_core.clear_override a (pd d) (unit_va s u);
+        Os_core.clear_override b (pd d) (unit_va s u)
+  in
+  List.iteri
+    (fun step op ->
+      apply op;
+      compare_all step)
+    ops;
+  true
+
+let prop_store_lockstep name config =
+  QCheck2.Test.make ~count:150 ~name
+    ~print:QCheck2.Print.(list print_store_op)
+    QCheck2.Gen.(list_size (int_range 1 60) store_op_gen)
+    (store_lockstep config)
+
 (* --- geometry boundary regressions ----------------------------------- *)
 
 let test_frames_exceed_pa_space () =
@@ -215,6 +365,11 @@ let suite =
     Alcotest.test_case "backing store matches model" `Quick
       test_backing_store_model;
     Qprop.to_alcotest prop_segment_lockstep;
+    Qprop.to_alcotest
+      (prop_store_lockstep "os_core store lockstep, 4 KB units" Config.default);
+    Qprop.to_alcotest
+      (prop_store_lockstep "os_core store lockstep, 1 KB units"
+         (Config.v ~geom:(Geometry.v ~prot_shift:10 ()) ()));
     Alcotest.test_case "capability registry packed lockstep" `Quick
       test_cap_registry_lockstep;
     Alcotest.test_case "frames beyond physical space rejected" `Quick

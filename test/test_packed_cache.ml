@@ -211,6 +211,21 @@ let test_negative_payload_rejected () =
     (Invalid_argument "Packed_cache.insert: payload must be >= 0") (fun () ->
       Packed_cache.insert t ~hash:0 ~k1:0 ~k2:0 (-2))
 
+(* Both backends share one insert contract: a negative k1 would collide
+   with the packed lanes' free-slot sentinel, so neither may store it. *)
+let test_negative_key_rejected () =
+  List.iter
+    (fun backend ->
+      let t = Packed_cache.create ~backend ~sets:1 ~ways:1 () in
+      Alcotest.check_raises
+        (Packed_cache.backend_to_string backend)
+        (Invalid_argument "Packed_cache.insert: key1 must be >= 0")
+        (fun () -> Packed_cache.insert t ~hash:0 ~k1:(-1) ~k2:0 5);
+      Alcotest.(check int)
+        (Packed_cache.backend_to_string backend ^ ": nothing stored")
+        0 (Packed_cache.length t))
+    [ Packed_cache.Ref; Packed_cache.Packed ]
+
 let suite =
   [
     Qprop.to_alcotest lockstep;
@@ -218,4 +233,6 @@ let suite =
     Alcotest.test_case "plb adversarial keys" `Quick test_plb_adversarial_keys;
     Alcotest.test_case "negative payload rejected" `Quick
       test_negative_payload_rejected;
+    Alcotest.test_case "negative key rejected on both backends" `Quick
+      test_negative_key_rejected;
   ]
