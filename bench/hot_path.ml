@@ -1,36 +1,35 @@
-(* Hot-path benchmark for the protection-structure backends and engines.
+(* Hot-path benchmark for the protection structures and engines.
 
    Runs the same mixed access loop — PLB probe, TLB lookup + used/dirty
-   bookkeeping or install, page-group check — three ways:
+   bookkeeping or install, page-group check — on the int-lane caches two
+   ways:
 
-     ref            boxed Assoc_cache backend, scalar API loop
-     packed         int-lane backend, scalar API loop
-     packed+batch   int-lane backend, the Kernel batch engine: the loop's
-                    operand pattern (period 128 iterations = 384 ops) is
-                    compiled once into flat int lanes with every hash and
-                    set base precomputed, then replayed by the
-                    tail-recursive decode loop
+     scalar   the public API, one call per structure access
+     batch    the Kernel batch engine: the loop's operand pattern (period
+              128 iterations = 384 ops) is compiled once into flat int
+              lanes with every hash and set base precomputed, then
+              replayed by the tail-recursive decode loop
 
-   reports accesses/sec for each, the packed/ref and batch/packed
-   speedups, then enforces the zero-allocation guardrail on both packed
-   loops: minor-heap words per access must stay under 0.01 (the obs
-   disabled-path threshold), else exit 1. Before timing anything it
-   replays the pattern on two fresh rigs — scalar API vs batch — and
-   requires identical accumulator sums and identical hit/miss/eviction
-   counters on all three structures, so a decode-loop bug fails the
-   bench rather than inflating it.
+   reports accesses/sec for each and the batch/scalar speedup, then
+   enforces the zero-allocation guardrail on both loops: minor-heap words
+   per access must stay under 0.01 (the obs disabled-path threshold),
+   else exit 1. Before timing anything it replays the pattern on two
+   fresh rigs — scalar API vs batch — and requires identical accumulator
+   sums and identical hit/miss/eviction counters on all three structures,
+   so a decode-loop bug fails the bench rather than inflating it.
 
      hot_path [--iters N] [--json FILE] [--policy lru|fifo|random]
-              [--rev REV] [--min-speedup X] [--min-batch-speedup X]
+              [--rev REV] [--min-batch-speedup X]
 
-   --min-speedup / --min-batch-speedup default to 0 (report only):
-   wall-clock ratios are too noisy on shared CI runners to gate
-   unconditionally, so the CI smoke job opts into conservative floors
-   while the allocation guardrail is always enforced. All three
-   replacement policies are measurable, including Random: victim draws
-   come from a per-cache splitmix int state (Prng.Split), so a full-row
-   eviction costs one add and two xor-shift-multiplies and allocates
-   nothing. *)
+   --min-batch-speedup defaults to 0 (report only): wall-clock ratios are
+   too noisy on shared CI runners to gate unconditionally, so the CI
+   smoke job opts into a conservative floor while the allocation
+   guardrail is always enforced. Every JSON row keeps
+   ["backend": "packed"], the discriminator the BENCH_0006 trend series
+   are keyed on. All three replacement policies are measurable, including
+   Random: victim draws come from a per-cache splitmix int state
+   (Prng.Split), so a full-row eviction costs one add and two
+   xor-shift-multiplies and allocates nothing. *)
 
 open Sasos
 
@@ -41,10 +40,10 @@ type rig = {
   pds : Addr.Pd.t array;
 }
 
-let make_rig ?(policy = Hw.Replacement.Lru) backend =
-  let plb = Hw.Plb.create ~backend ~policy ~sets:16 ~ways:4 () in
-  let tlb = Hw.Tlb.create ~backend ~policy ~sets:16 ~ways:4 () in
-  let pgc = Hw.Page_group_cache.create ~backend ~policy ~entries:8 () in
+let make_rig ~policy =
+  let plb = Hw.Plb.create ~policy ~sets:16 ~ways:4 () in
+  let tlb = Hw.Tlb.create ~policy ~sets:16 ~ways:4 () in
+  let pgc = Hw.Page_group_cache.create ~policy ~entries:8 () in
   let pds = Array.init 8 (fun i -> Addr.Pd.of_int (i + 1)) in
   (* working set slightly over capacity so the loop mixes hits, misses,
      installs and evictions *)
@@ -118,10 +117,7 @@ let compile_rig rig =
 let stats_of rig =
   List.map
     (fun cache ->
-      match Hw.Packed_cache.packed_state cache with
-      | Some p ->
-          Hw.Packed_cache.(p.p_hits, p.p_misses, p.p_evictions, p.p_length)
-      | None -> assert false)
+      Hw.Packed_cache.(hits cache, misses cache, evictions cache, length cache))
     [
       Hw.Plb.raw_cache rig.plb;
       Hw.Tlb.raw_cache rig.tlb;
@@ -130,9 +126,9 @@ let stats_of rig =
 
 let lockstep_gate ~policy =
   let n = 100 * period in
-  let scalar_rig = make_rig ~policy Hw.Packed_cache.Packed in
+  let scalar_rig = make_rig ~policy in
   let s = run_loop scalar_rig n in
-  let batch_rig = make_rig ~policy Hw.Packed_cache.Packed in
+  let batch_rig = make_rig ~policy in
   let b = Kernel.run ~reps:(n / period) (compile_rig batch_rig) in
   if s <> b then begin
     Printf.printf
@@ -166,29 +162,22 @@ let alloc_of f ~accesses =
   Float.max 0.0 (w1 -. w0 -. 2.0 (* the boxed float from reading w0 *))
   /. float_of_int accesses
 
-type row = {
-  backend : string;
-  engine : string;
-  rate : float;
-  alloc : float;
-}
+type row = { engine : string; rate : float; alloc : float }
 
 (* A prepared measurand: a warmed-up rig plus the closures to time it and
    to audit its allocation. *)
 type measurand = {
-  m_backend : string;
   m_engine : string;
   m_accesses : int;  (* counted accesses per timed trial *)
   m_run : unit -> int;
   m_alloc : unit -> float;
 }
 
-let prep_scalar ~policy backend ~iters =
-  let rig = make_rig ~policy backend in
+let prep_scalar ~policy ~iters =
+  let rig = make_rig ~policy in
   sink := !sink + run_loop rig 50_000 (* warm-up *);
   let alloc_iters = 200_000 in
   {
-    m_backend = Hw.Packed_cache.backend_to_string backend;
     m_engine = "scalar";
     m_accesses = iters * accesses_per_iter;
     m_run = (fun () -> run_loop rig iters);
@@ -200,13 +189,12 @@ let prep_scalar ~policy backend ~iters =
   }
 
 let prep_batch ~policy ~iters =
-  let rig = make_rig ~policy Hw.Packed_cache.Packed in
+  let rig = make_rig ~policy in
   let prog = compile_rig rig in
   let reps = max 1 (iters / period) in
   sink := !sink + Kernel.run ~reps:(max 1 (50_000 / period)) prog (* warm-up *);
   let alloc_reps = max 1 (200_000 / period) in
   {
-    m_backend = "packed";
     m_engine = "batch";
     m_accesses = reps * period * accesses_per_iter;
     m_run = (fun () -> Kernel.run ~reps prog);
@@ -238,7 +226,6 @@ let measure_rows ms =
     (Array.mapi
        (fun i m ->
          {
-           backend = m.m_backend;
            engine = m.m_engine;
            rate = float_of_int m.m_accesses /. best.(i);
            alloc = m.m_alloc ();
@@ -247,14 +234,13 @@ let measure_rows ms =
 
 let usage =
   "usage: hot_path [--iters N] [--json FILE] [--policy lru|fifo|random]\n\
-  \                [--rev REV] [--min-speedup X] [--min-batch-speedup X]"
+  \                [--rev REV] [--min-batch-speedup X]"
 
 let () =
   let iters = ref 2_000_000
   and json = ref ""
   and policy = ref Hw.Replacement.Lru
   and rev = ref "unknown"
-  and min_speedup = ref 0.0
   and min_batch_speedup = ref 0.0 in
   let rec parse = function
     | [] -> ()
@@ -276,9 +262,6 @@ let () =
     | "--rev" :: r :: rest ->
         rev := r;
         parse rest
-    | "--min-speedup" :: x :: rest ->
-        min_speedup := float_of_string x;
-        parse rest
     | "--min-batch-speedup" :: x :: rest ->
         min_batch_speedup := float_of_string x;
         parse rest
@@ -292,36 +275,28 @@ let () =
   lockstep_gate ~policy;
   let rows =
     measure_rows
-      [|
-        prep_scalar ~policy Hw.Packed_cache.Ref ~iters:!iters;
-        prep_scalar ~policy Hw.Packed_cache.Packed ~iters:!iters;
-        prep_batch ~policy ~iters:!iters;
-      |]
+      [| prep_scalar ~policy ~iters:!iters; prep_batch ~policy ~iters:!iters |]
   in
-  let rate backend engine =
-    (List.find (fun r -> r.backend = backend && r.engine = engine) rows).rate
-  in
-  let packed_speedup = rate "packed" "scalar" /. rate "ref" "scalar" in
-  let batch_speedup = rate "packed" "batch" /. rate "packed" "scalar" in
+  let rate engine = (List.find (fun r -> r.engine = engine) rows).rate in
+  let batch_speedup = rate "batch" /. rate "scalar" in
   Printf.printf "== hot path: %d iterations x %d accesses, policy %s ==\n"
     !iters accesses_per_iter
     (Hw.Replacement.to_string policy);
   List.iter
     (fun r ->
-      Printf.printf "  %-6s %-6s %12.0f accesses/sec  %.5f words/access\n"
-        r.backend r.engine r.rate r.alloc)
+      Printf.printf "  %-6s %12.0f accesses/sec  %.5f words/access\n" r.engine
+        r.rate r.alloc)
     rows;
-  Printf.printf "  packed/ref   speedup %.2fx\n" packed_speedup;
-  Printf.printf "  batch/packed speedup %.2fx\n" batch_speedup;
-  (* allocation guardrail: every packed-backend loop must be free of
-     per-access allocation, under every policy (Random included — its
-     victim draw is an int-state splitmix step) *)
+  Printf.printf "  batch/scalar speedup %.2fx\n" batch_speedup;
+  (* allocation guardrail: every loop must be free of per-access
+     allocation, under every policy (Random included — its victim draw is
+     an int-state splitmix step) *)
   List.iter
     (fun r ->
-      if r.backend = "packed" && r.alloc > 0.01 then begin
+      if r.alloc > 0.01 then begin
         Printf.printf
-          "FAIL: %s/%s hot path allocates (%.5f > 0.01 minor words/access)\n"
-          r.backend r.engine r.alloc;
+          "FAIL: %s hot path allocates (%.5f > 0.01 minor words/access)\n"
+          r.engine r.alloc;
         exit 1
       end)
     rows;
@@ -337,7 +312,6 @@ let () =
       \  \"git_rev\": %S,\n\
       \  \"rows\": [\n%s\n\
       \  ],\n\
-      \  \"packed_speedup\": %.3f,\n\
       \  \"batch_speedup\": %.3f\n\
        }\n"
       (Hw.Replacement.to_string policy)
@@ -346,22 +320,17 @@ let () =
          (List.map
             (fun r ->
               Printf.sprintf
-                "    { \"bench\": \"hot_path\", \"backend\": %S, \"engine\": \
-                 %S, \"accesses_per_sec\": %.0f, \
+                "    { \"bench\": \"hot_path\", \"backend\": \"packed\", \
+                 \"engine\": %S, \"accesses_per_sec\": %.0f, \
                  \"alloc_words_per_access\": %.5f }"
-                r.backend r.engine r.rate r.alloc)
+                r.engine r.rate r.alloc)
             rows))
-      packed_speedup batch_speedup;
+      batch_speedup;
     close_out oc;
     Printf.printf "wrote %s\n" !json
   end;
-  if packed_speedup < !min_speedup then begin
-    Printf.printf "FAIL: packed/ref speedup %.2fx below required %.2fx\n"
-      packed_speedup !min_speedup;
-    exit 1
-  end;
   if batch_speedup < !min_batch_speedup then begin
-    Printf.printf "FAIL: batch/packed speedup %.2fx below required %.2fx\n"
+    Printf.printf "FAIL: batch/scalar speedup %.2fx below required %.2fx\n"
       batch_speedup !min_batch_speedup;
     exit 1
   end

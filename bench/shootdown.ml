@@ -15,7 +15,7 @@
      - --min-ratio R additionally requires ipis(eager) >= R *
        ipis(batched) (default 0 = report only; CI passes 2);
      - the allocation guardrail always gates: the warmed pure-access
-       loop at N cores (packed backend, obs off) must stay under 0.01
+       loop at N cores (int-lane caches, obs off) must stay under 0.01
        minor-heap words per access — the scheduler draw, the migrate
        check and the staleness overlay all live on that path.
 

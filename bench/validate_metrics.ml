@@ -4,8 +4,8 @@
      validate_metrics METRICS.json      -- sasos-metrics/1 from `sasos report`
      validate_metrics --obs OBS.json    -- sasos-obs/1 from `sasos profile`
      validate_metrics --chrome T.json   -- Chrome trace_event from --chrome-out
-     validate_metrics --same A B        -- byte equality (backend parity gate)
-     validate_metrics --compare A B     -- line equality ignoring volatile keys
+     validate_metrics --same A B        -- byte equality (parity gate)
+     validate_metrics --compare A B     -- line equality, volatile values masked
      validate_metrics --self-test       -- the validator validated: a crafted
                                            mismatch must produce a diagnostic
                                            naming path, line, expected, actual
@@ -119,9 +119,9 @@ let divergence_diag a b (lineno, exp, act) =
   Printf.sprintf "first diverging line is %d:\n  expected (%s): %s\n  actual   (%s): %s"
     lineno a (show exp) b (show act)
 
-(* Backend parity: the rendered report text must be byte-identical
-   between the reference and packed backends (and between the scalar and
-   batch engines). On a break, point at the first diverging line. *)
+(* Parity: the rendered report text must be byte-identical to the
+   committed golden copy and between the scalar and batch engines. On a
+   break, point at the first diverging line. *)
 let validate_same a b =
   let sa = read_all a and sb = read_all b in
   if sa <> sb then begin
@@ -140,29 +140,59 @@ let validate_same a b =
 
 (* Keys whose values legitimately vary between runs of the same
    experiment set: timing, GC counters and the worker count. Everything
-   else in sasos-metrics/1 must agree line for line across backends. *)
+   else in sasos-metrics/1 must agree line for line. *)
 let volatile_keys =
   [
     "\"wall_ns\""; "\"total_wall_ns\""; "\"minor_words\""; "\"major_words\"";
     "\"promoted_words\""; "\"jobs\"";
   ]
 
-let is_volatile line = List.exists (fun k -> contains line k) volatile_keys
+let starts_at s i prefix =
+  i + String.length prefix <= String.length s
+  && String.sub s i (String.length prefix) = prefix
 
-let lines_of s =
-  String.split_on_char '\n' s |> List.filter (fun l -> not (is_volatile l))
+(* [line] with the value after every volatile key replaced by [_]:
+   ["wall_ns": 12] and ["wall_ns":0] both read ["wall_ns":_]. Only the
+   value is masked, so the rest of the line — a one-line embedded profile
+   block carries a ["wall_ns"] of its own — is still compared. *)
+let mask_volatile line =
+  let n = String.length line in
+  let buf = Buffer.create n in
+  let rec skip p i = if i < n && p line.[i] then skip p (i + 1) else i in
+  let space c = c = ' ' in
+  let number = function
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  in
+  let rec go i =
+    if i < n then
+      match List.find_opt (starts_at line i) volatile_keys with
+      | None ->
+          Buffer.add_char buf line.[i];
+          go (i + 1)
+      | Some k ->
+          Buffer.add_string buf k;
+          let j = skip space (i + String.length k) in
+          if j < n && line.[j] = ':' then begin
+            Buffer.add_string buf ":_";
+            go (skip number (skip space (j + 1)))
+          end
+          else go (i + String.length k)
+  in
+  go 0;
+  Buffer.contents buf
+
+let lines_of s = String.split_on_char '\n' s |> List.map mask_volatile
 
 let validate_compare a b =
   (match first_divergence (lines_of (read_all a)) (lines_of (read_all b)) with
   | Some d ->
       fail
-        (Printf.sprintf
-           "%s and %s diverge on a non-volatile line; %s (line numbers count \
-            non-volatile lines only)"
-           a b (divergence_diag a b d))
+        (Printf.sprintf "%s and %s diverge with volatile values masked; %s" a
+           b (divergence_diag a b d))
   | None -> ());
   print_endline
-    (Printf.sprintf "ok: %s and %s agree on all non-volatile lines" a b)
+    (Printf.sprintf "ok: %s and %s agree with volatile values masked" a b)
 
 (* The validator validated: craft mismatches and assert the diagnostics
    carry everything a reader needs — both paths, the line number, and
@@ -206,10 +236,23 @@ let self_test () =
       expect_diag "--same truncated"
         (fun () -> validate_same a b)
         [ a; b; "line is 2"; "\"beta\""; "<end of file>" ]);
-  (* --compare ignores volatile keys but diagnoses real divergence the
+  (* --compare masks volatile values but diagnoses real divergence the
      same way *)
   with_pair "x 1\n\"wall_ns\": 5\ny 2\n" "x 1\n\"wall_ns\": 9\ny 2\n"
     (fun a b -> validate_compare a b);
+  (* a volatile key masks only its own value: a one-line profile block
+     that differs elsewhere must still be caught *)
+  let profile cycles wall =
+    Printf.sprintf
+      "{\n  \"profile\": {\"total_cycles\":%d,\"wall_ns\":%d,\"ops\":[]},\n}\n"
+      cycles wall
+  in
+  with_pair (profile 556657 0) (profile 556657 31) (fun a b ->
+      validate_compare a b);
+  with_pair (profile 556657 0) (profile 999999 0) (fun a b ->
+      expect_diag "--compare inside a volatile line"
+        (fun () -> validate_compare a b)
+        [ a; b; "line is 2"; "556657"; "999999" ]);
   with_pair "x 1\ny 2\n" "x 1\ny 3\n" (fun a b ->
       expect_diag "--compare"
         (fun () -> validate_compare a b)

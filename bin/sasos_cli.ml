@@ -73,37 +73,6 @@ let machine_conv =
   in
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Sasos.Machines.to_string v))
 
-let backend_conv =
-  let parse s =
-    match Sasos.Hw.Packed_cache.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (ref|packed)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt b ->
-        Format.pp_print_string fmt (Sasos.Hw.Packed_cache.backend_to_string b)
-    )
-
-(* shared by report/check/profile/scale: selects the PLB/TLB/page-group
-   cache and OS-table implementation for every machine built afterwards
-   (worker domains are spawned after the flag is applied, so they observe
-   it too) *)
-let backend_term =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "backend" ] ~docv:"ref|packed"
-        ~doc:
-          "Protection-structure and OS-table backend: $(b,packed) \
-           (unboxed zero-allocation int lanes, the default) or $(b,ref) \
-           (the boxed Assoc_cache and Hashtbl reference model). The two \
-           must behave identically; the differential harness and the \
-           byte-identical report gates drive both.")
-
-let set_backend backend =
-  Option.iter Sasos.Hw.Packed_cache.set_default_backend backend
-
 let engine_conv =
   let parse s =
     match Sasos.Engine.of_string s with
@@ -114,8 +83,8 @@ let engine_conv =
     ( parse,
       fun fmt e -> Format.pp_print_string fmt (Sasos.Engine.to_string e) )
 
-(* shared by report/check/profile: like --backend, applied before any
-   machine or worker domain exists *)
+(* shared by report/check/profile: applied before any machine or worker
+   domain exists, so worker domains spawned afterwards observe it *)
 let engine_term =
   Arg.(
     value
@@ -140,7 +109,7 @@ let purge_conv =
     (parse, fun fmt p -> Format.pp_print_string fmt (Sasos.Smp.purge_to_string p))
 
 (* shared by report/check/profile/scale: the multicore layer. Like
-   --backend, applied before any machine or worker domain exists. *)
+   --engine, applied before any machine or worker domain exists. *)
 let smp_term =
   let cores =
     Arg.(
@@ -522,9 +491,8 @@ let profile_cmd =
             "Write a Chrome trace_event JSON file to $(docv) (open in \
              Perfetto or chrome://tracing).")
   in
-  let run backend engine smp experiments wname shards machine jobs sample ring
+  let run engine smp experiments wname shards machine jobs sample ring
       out json chrome config =
-    set_backend backend;
     set_engine engine;
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
@@ -614,7 +582,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       ret
-        (const run $ backend_term $ engine_term $ smp_term $ experiments
+        (const run $ engine_term $ smp_term $ experiments
         $ wname $ shards $ machine $ jobs $ sample $ ring $ out $ json
         $ chrome $ config_term))
 
@@ -662,8 +630,7 @@ let report_cmd =
              the merged cycle-attribution table, and embed a per-experiment \
              profile block in the --json metrics.")
   in
-  let run backend engine smp out jobs only json profile =
-    set_backend backend;
+  let run engine smp out jobs only json profile =
     set_engine engine;
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
@@ -716,7 +683,7 @@ let report_cmd =
     (Cmd.info "report" ~doc)
     Term.(
       ret
-        (const run $ backend_term $ engine_term $ smp_term $ out $ jobs
+        (const run $ engine_term $ smp_term $ out $ jobs
         $ only $ json $ profile))
 
 let check_cmd =
@@ -793,10 +760,9 @@ let check_cmd =
                 file in $(docv) on all machines and compare against the \
                 recorded outcomes.")
   in
-  let run backend engine smp ops scripts seed jobs machines domains segments
+  let run engine smp ops scripts seed jobs machines domains segments
       pages mutate save corpus obs_flags =
     let profile, obs_json, chrome = obs_flags in
-    set_backend backend;
     set_engine engine;
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
@@ -904,7 +870,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       ret
-        (const run $ backend_term $ engine_term $ smp_term $ ops $ scripts
+        (const run $ engine_term $ smp_term $ ops $ scripts
         $ seed $ jobs $ machines $ domains $ segments $ pages $ mutate
         $ save $ corpus $ obs_flags_term))
 
@@ -1013,10 +979,9 @@ let scale_cmd_make ~name ~doc ~live_default =
              when given without a value) while the simulation runs. \
              Implies profiling.")
   in
-  let run backend smp domains pages shards rounds active burst rotate churn
+  let run smp domains pages shards rounds active burst rotate churn
       pages_per_seg segs_per_dom theta tlb plb pg keys frames machine seed
       jobs out obs_flags sample ring live =
-    set_backend backend;
     let profile, obs_json, chrome = obs_flags in
     let live = match live with Some n -> Some n | None -> live_default in
     match apply_smp smp with
@@ -1102,7 +1067,7 @@ let scale_cmd_make ~name ~doc ~live_default =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       ret
-        (const run $ backend_term $ smp_term $ domains $ pages $ shards
+        (const run $ smp_term $ domains $ pages $ shards
         $ rounds $ active $ burst $ rotate $ churn $ pages_per_seg
         $ segs_per_dom $ theta $ tlb $ plb $ pg $ keys $ frames $ machine
         $ seed $ jobs $ out $ obs_flags_term $ sample $ ring $ live))

@@ -49,7 +49,6 @@ end
 
 module Hw = struct
   module Replacement = Sasos_hw.Replacement
-  module Assoc_cache = Sasos_hw.Assoc_cache
   module Packed_cache = Sasos_hw.Packed_cache
   module Tlb = Sasos_hw.Tlb
   module Plb = Sasos_hw.Plb

@@ -16,7 +16,8 @@ let of_string s =
 let to_string = function Scalar -> "scalar" | Batch -> "batch"
 
 (* Written once by the CLI before any machine (or worker domain) exists,
-   read ever after — the same discipline as Packed_cache.global_backend. *)
+   read ever after; Atomic keeps the cross-domain read well-defined under
+   the OCaml 5 memory model. *)
 let global_engine : t Atomic.t = Atomic.make Scalar
 
 let default_engine () = Atomic.get global_engine
@@ -213,11 +214,13 @@ let to_events prog = List.init (length prog) (decode_one prog)
 
 (* --- decode-execute loop ------------------------------------------------
 
-   Replicates Player.replay exactly: same handle tables by creation index,
-   same bounds checks with the same reason strings, same per-event obs
-   phases when a collector is ambient. Only the engine's own Bad errors
-   are caught — machine exceptions propagate, so the differential
-   harness's crash detection behaves identically on both engines. *)
+   Replicates Player.replay: same handle tables by creation index, same
+   bounds checks with the same reason strings, same per-event obs phases
+   when a collector is ambient. Only the engine's own Bad errors are
+   caught — machine exceptions propagate (the player alone reports a
+   machine's refusal of a segment, charge or destroy-domain event as an
+   error), so the differential harness's crash detection behaves
+   identically on both engines. *)
 
 type run = {
   outcomes : Access.outcome list;

@@ -58,10 +58,13 @@ type run = {
 }
 
 val exec : program -> System_intf.packed -> (run, Sasos_trace.Player.error) result
-(** Decode-execute the program against a machine. Error cases and reason
-    strings match {!Sasos_trace.Player.replay} exactly; only the engine's
-    own trace-validity errors are caught — exceptions raised by the
-    machine propagate. *)
+(** Decode-execute the program against a machine. The engine's own
+    trace-validity errors (unknown or destroyed handles, offsets and pages
+    outside a segment) match {!Sasos_trace.Player.replay}'s cases and
+    reason strings exactly. Exceptions raised by the machine propagate,
+    including the segment, charge and destroy-domain refusals the player
+    reports as errors, so the differential harness sees a machine's
+    crash the same way on both engines. *)
 
 val replay :
   Sasos_trace.Event.t list ->

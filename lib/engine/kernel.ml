@@ -109,18 +109,10 @@ let nonneg i what v =
     invalid_arg
       (Printf.sprintf "Kernel.compile: op %d: %s %d is negative" i what v)
 
-let state_of what cache =
-  match Packed_cache.packed_state cache with
-  | Some p -> p
-  | None ->
-      invalid_arg
-        ("Kernel.compile: " ^ what
-       ^ ": packed backend required (the kernel drives raw int lanes)")
-
 let compile ?(fuse = true) ~plb ~tlb ~pgc ops =
-  let k_plb = state_of "plb" (Plb.raw_cache plb) in
-  let k_tlb = state_of "tlb" (Tlb.raw_cache tlb) in
-  let k_pg = state_of "pgc" (Page_group_cache.raw_cache pgc) in
+  let k_plb = Packed_cache.packed_state (Plb.raw_cache plb) in
+  let k_tlb = Packed_cache.packed_state (Tlb.raw_cache tlb) in
+  let k_pg = Packed_cache.packed_state (Page_group_cache.raw_cache pgc) in
   let plb_shifts = Plb.shifts plb in
   let plb_lane i ~pd ~va ~shift =
     lane_check i "pd" 31 pd;

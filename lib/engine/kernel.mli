@@ -50,10 +50,9 @@ val compile :
   pgc:Page_group_cache.t ->
   op list ->
   program
-(** Lower the op stream against the rig. All three structures must use the
-    [Packed] backend. [fuse] (default true) enables the access-superop
-    peephole when the PLB and TLB are 4-way; pass [false] for slot-per-op
-    programs (the per-op lockstep tests do).
+(** Lower the op stream against the rig. [fuse] (default true) enables the
+    access-superop peephole when the PLB and TLB are 4-way; pass [false]
+    for slot-per-op programs (the per-op lockstep tests do).
     @raise Invalid_argument — naming the source op index — when an operand
     does not fit its lane (26-bit AIDs, 31-bit PFNs and PDs, non-negative
     addresses), when a PLB shift is not configured, or when a [Plb_find]

@@ -1,47 +1,4 @@
-type backend = Ref | Packed
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "ref" | "reference" -> Some Ref
-  | "packed" -> Some Packed
-  | _ -> None
-
-let backend_to_string = function Ref -> "ref" | Packed -> "packed"
-
-(* Written once by the CLI before any machine (or worker domain) exists,
-   read at create time ever after; Atomic keeps the cross-domain read
-   well-defined under the OCaml 5 memory model. Production runs on the
-   int lanes; [Ref] is selected explicitly by the lockstep suites and the
-   cross-backend gates. *)
-let global_backend : backend Atomic.t = Atomic.make Packed
-
-let default_backend () = Atomic.get global_backend
-let set_default_backend b = Atomic.set global_backend b
-
 let absent = -1
-
-(* --- reference backend: the boxed model, the lockstep oracle ---------- *)
-
-(* The key record carries the caller's hash so set placement is decided by
-   exactly the same value on both backends. *)
-module RKey = struct
-  type t = { h : int; k1 : int; k2 : int }
-
-  let equal a b = a.k1 = b.k1 && a.k2 = b.k2
-  let hash k = k.h
-end
-
-module RC = Assoc_cache.Make (RKey)
-
-type ref_state = {
-  rc : int RC.t;
-  mutable rev_k1 : int;
-  mutable rev_k2 : int;
-  mutable rev_v : int;
-  mutable rev_some : bool;
-}
-
-(* --- packed backend: unboxed lanes, zero-allocation fast path --------- *)
 
 (* Free slots carry [free_key] in their keys1 lane instead of a separate
    validity byte array: one fewer load per way on every scan. [free_key]
@@ -52,7 +9,8 @@ let free_key = min_int
 type packed_state = {
   p_policy : Replacement.t;
   (* splitmix int state for Random victim draws; steps in lockstep with
-     Assoc_cache's [rand] so both backends evict the same ways *)
+     the reference model's (test/assoc_cache.ml), so both evict the same
+     ways *)
   mutable p_rand : int;
   p_sets : int;
   p_ways : int;
@@ -71,55 +29,38 @@ type packed_state = {
   mutable ev_some : bool;
 }
 
-type t = R of ref_state | P of packed_state
+type t = packed_state
 
-let create ?backend ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways
-    () =
+let create ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways () =
   if sets < 1 || ways < 1 then
     invalid_arg "Packed_cache.create: sets and ways must be >= 1";
-  let backend =
-    match backend with Some b -> b | None -> default_backend ()
-  in
-  match backend with
-  | Ref ->
-      R
-        {
-          rc = RC.create ~policy ~seed ~sets ~ways ();
-          rev_k1 = 0;
-          rev_k2 = 0;
-          rev_v = 0;
-          rev_some = false;
-        }
-  | Packed ->
-      let n = sets * ways in
-      P
-        {
-          p_policy = policy;
-          p_rand = Sasos_util.Prng.Split.init seed;
-          p_sets = sets;
-          p_ways = ways;
-          keys1 = Array.make n free_key;
-          keys2 = Array.make n 0;
-          vals = Array.make n 0;
-          stamps = Array.make n 0;
-          p_tick = 0;
-          p_hits = 0;
-          p_misses = 0;
-          p_evictions = 0;
-          p_length = 0;
-          ev_k1 = 0;
-          ev_k2 = 0;
-          ev_v = 0;
-          ev_some = false;
-        }
+  let n = sets * ways in
+  {
+    p_policy = policy;
+    p_rand = Sasos_util.Prng.Split.init seed;
+    p_sets = sets;
+    p_ways = ways;
+    keys1 = Array.make n free_key;
+    keys2 = Array.make n 0;
+    vals = Array.make n 0;
+    stamps = Array.make n 0;
+    p_tick = 0;
+    p_hits = 0;
+    p_misses = 0;
+    p_evictions = 0;
+    p_length = 0;
+    ev_k1 = 0;
+    ev_k2 = 0;
+    ev_v = 0;
+    ev_some = false;
+  }
 
-let backend = function R _ -> Ref | P _ -> Packed
-let sets = function R r -> RC.sets r.rc | P p -> p.p_sets
-let ways = function R r -> RC.ways r.rc | P p -> p.p_ways
-let capacity = function R r -> RC.capacity r.rc | P p -> p.p_sets * p.p_ways
-let length = function R r -> RC.length r.rc | P p -> p.p_length
+let sets p = p.p_sets
+let ways p = p.p_ways
+let capacity p = p.p_sets * p.p_ways
+let length p = p.p_length
 
-(* Identical to Assoc_cache.set_of: mix, then mask the sign bit — [abs]
+(* The reference model's set index: mix, then mask the sign bit — [abs]
    would map a mixed hash of [min_int] to a negative set index. *)
 let set_of_hash sets h =
   let h = h lxor (h lsr 16) in
@@ -152,7 +93,7 @@ let rec scan_free (keys1 : int array) j limit =
   else scan_free keys1 (j + 1) limit
 
 (* ascending scan with strict <, so the first minimal stamp wins — the
-   Assoc_cache victim tie-break *)
+   reference model's victim tie-break *)
 let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
   if j >= limit then best
   else
@@ -166,9 +107,9 @@ let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
    at compile time and drives the packed lanes directly, skipping the
    per-access hash + division. To keep its semantics identical to the
    scalar API *by construction*, the raw operations below are the single
-   implementation: the public [find]/[peek]/[insert]/[set_masked] P
-   branches call them with [base = raw_base p ~hash], and the kernel calls
-   them with its precomputed base. Anything one path counts, the other
+   implementation: the public [find]/[peek]/[insert]/[set_masked] call
+   them with [base = raw_base p ~hash], and the kernel calls them with its
+   precomputed base. Anything one path counts, the other
    counts. *)
 
 let raw_base p ~hash = set_of_hash p.p_sets hash * p.p_ways
@@ -242,8 +183,8 @@ let raw_victim p base =
 let raw_refill p ~base ~k1 ~k2 v =
   if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
   let free = scan_free p.keys1 base (base + p.p_ways) in
-  (* the fresh stamp is drawn before the victim choice, matching
-     Assoc_cache's tick ordering exactly *)
+  (* the fresh stamp is drawn before the victim choice, matching the
+     reference model's tick ordering exactly *)
   p.p_tick <- p.p_tick + 1;
   let stamp = p.p_tick in
   let j =
@@ -290,163 +231,86 @@ let raw_set_masked p ~base ~k1 ~k2 ~mask ~bits =
   end
   else false
 
-let packed_state = function R _ -> None | P p -> Some p
+let packed_state p = p
 
 (* ----------------------------------------------------------------------- *)
 
-let find t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> begin
-      match RC.find r.rc { RKey.h = hash; k1; k2 } with
-      | Some v -> v
-      | None -> absent
-    end
-  | P p -> raw_find p ~base:(raw_base p ~hash) ~k1 ~k2
+let find p ~hash ~k1 ~k2 = raw_find p ~base:(raw_base p ~hash) ~k1 ~k2
+let peek p ~hash ~k1 ~k2 = raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2
+let mem p ~hash ~k1 ~k2 = peek p ~hash ~k1 ~k2 >= 0
 
-let peek t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> begin
-      match RC.peek r.rc { RKey.h = hash; k1; k2 } with
-      | Some v -> v
-      | None -> absent
-    end
-  | P p -> raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2
-
-let mem t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> RC.mem r.rc { RKey.h = hash; k1; k2 }
-  | P p -> raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2 >= 0
-
-let insert t ~hash ~k1 ~k2 v =
+let insert p ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
-  (* checked here too, not only in [raw_insert], so the reference backend
-     keeps the same contract *)
-  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
-  match t with
-  | R r -> begin
-      match RC.insert r.rc { RKey.h = hash; k1; k2 } v with
-      | Some (k, ov) ->
-          r.rev_k1 <- k.RKey.k1;
-          r.rev_k2 <- k.RKey.k2;
-          r.rev_v <- ov;
-          r.rev_some <- true
-      | None -> r.rev_some <- false
-    end
-  | P p -> raw_insert p ~base:(raw_base p ~hash) ~k1 ~k2 v
+  raw_insert p ~base:(raw_base p ~hash) ~k1 ~k2 v
 
-let last_eviction t =
-  match t with
-  | R r -> if r.rev_some then Some (r.rev_k1, r.rev_k2, r.rev_v) else None
-  | P p -> if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
+let last_eviction p = if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
 
-let set_masked t ~hash ~k1 ~k2 ~mask ~bits =
-  match t with
-  | R r ->
-      RC.update r.rc { RKey.h = hash; k1; k2 } (fun v ->
-          (v land lnot mask) lor bits)
-  | P p -> raw_set_masked p ~base:(raw_base p ~hash) ~k1 ~k2 ~mask ~bits
+let set_masked p ~hash ~k1 ~k2 ~mask ~bits =
+  raw_set_masked p ~base:(raw_base p ~hash) ~k1 ~k2 ~mask ~bits
 
-let set t ~hash ~k1 ~k2 v =
+let set p ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.set: payload must be >= 0";
-  set_masked t ~hash ~k1 ~k2 ~mask:(-1) ~bits:v
+  set_masked p ~hash ~k1 ~k2 ~mask:(-1) ~bits:v
 
-let remove t ~hash ~k1 ~k2 =
-  match t with
-  | R r -> RC.remove r.rc { RKey.h = hash; k1; k2 }
-  | P p ->
-      let base = raw_base p ~hash in
-      let j =
-        scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
-      in
-      if j >= 0 then begin
+let remove p ~hash ~k1 ~k2 =
+  let j = raw_index p ~base:(raw_base p ~hash) ~k1 ~k2 in
+  if j >= 0 then begin
+    p.keys1.(j) <- free_key;
+    p.p_length <- p.p_length - 1;
+    true
+  end
+  else false
+
+let purge p pred =
+  let inspected = ref 0 and removed = ref 0 in
+  for j = 0 to capacity p - 1 do
+    if p.keys1.(j) <> free_key then begin
+      incr inspected;
+      if pred p.keys1.(j) p.keys2.(j) p.vals.(j) then begin
         p.keys1.(j) <- free_key;
         p.p_length <- p.p_length - 1;
-        true
+        incr removed
       end
-      else false
+    end
+  done;
+  (!inspected, !removed)
 
-let purge t pred =
-  match t with
-  | R r -> RC.purge r.rc (fun k v -> pred k.RKey.k1 k.RKey.k2 v)
-  | P p ->
-      let inspected = ref 0 and removed = ref 0 in
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then begin
-          incr inspected;
-          if pred p.keys1.(j) p.keys2.(j) p.vals.(j) then begin
-            p.keys1.(j) <- free_key;
-            p.p_length <- p.p_length - 1;
-            incr removed
-          end
-        end
-      done;
-      (!inspected, !removed)
+let rewrite p f =
+  let changed = ref 0 in
+  for j = 0 to capacity p - 1 do
+    if p.keys1.(j) <> free_key then begin
+      let v = p.vals.(j) in
+      let v' = f p.keys1.(j) p.keys2.(j) v in
+      if v' <> v then begin
+        if v' < 0 then invalid_arg "Packed_cache.rewrite: payload must be >= 0";
+        p.vals.(j) <- v';
+        incr changed
+      end
+    end
+  done;
+  !changed
 
-let rewrite t f =
-  match t with
-  | R r ->
-      let pending = ref [] in
-      RC.iter
-        (fun k v ->
-          let v' = f k.RKey.k1 k.RKey.k2 v in
-          if v' <> v then pending := (k, v') :: !pending)
-        r.rc;
-      List.iter
-        (fun (k, v') ->
-          if v' < 0 then
-            invalid_arg "Packed_cache.rewrite: payload must be >= 0";
-          ignore (RC.update r.rc k (fun _ -> v')))
-        !pending;
-      List.length !pending
-  | P p ->
-      let changed = ref 0 in
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then begin
-          let v = p.vals.(j) in
-          let v' = f p.keys1.(j) p.keys2.(j) v in
-          if v' <> v then begin
-            if v' < 0 then
-              invalid_arg "Packed_cache.rewrite: payload must be >= 0";
-            p.vals.(j) <- v';
-            incr changed
-          end
-        end
-      done;
-      !changed
+let clear p =
+  let dropped = p.p_length in
+  Array.fill p.keys1 0 (Array.length p.keys1) free_key;
+  p.p_length <- 0;
+  dropped
 
-let clear t =
-  match t with
-  | R r -> RC.clear r.rc
-  | P p ->
-      let dropped = p.p_length in
-      Array.fill p.keys1 0 (Array.length p.keys1) free_key;
-      p.p_length <- 0;
-      dropped
-
-let iter f t =
-  match t with
-  | R r -> RC.iter (fun k v -> f k.RKey.k1 k.RKey.k2 v) r.rc
-  | P p ->
-      let n = p.p_sets * p.p_ways in
-      for j = 0 to n - 1 do
-        if p.keys1.(j) <> free_key then f p.keys1.(j) p.keys2.(j) p.vals.(j)
-      done
+let iter f p =
+  for j = 0 to capacity p - 1 do
+    if p.keys1.(j) <> free_key then f p.keys1.(j) p.keys2.(j) p.vals.(j)
+  done
 
 let fold f t init =
   let acc = ref init in
   iter (fun k1 k2 v -> acc := f k1 k2 v !acc) t;
   !acc
 
-let hits = function R r -> RC.hits r.rc | P p -> p.p_hits
-let misses = function R r -> RC.misses r.rc | P p -> p.p_misses
-let evictions = function R r -> RC.evictions r.rc | P p -> p.p_evictions
+let hits p = p.p_hits
+let misses p = p.p_misses
+let evictions p = p.p_evictions
 
-let reset_stats t =
-  match t with
-  | R r -> RC.reset_stats r.rc
-  | P p ->
-      p.p_hits <- 0;
-      p.p_misses <- 0;
-      p.p_evictions <- 0
+let reset_stats p =
+  p.p_hits <- 0;
+  p.p_misses <- 0;
+  p.p_evictions <- 0

@@ -1,62 +1,37 @@
 (** Set-associative cache specialized to int-packed keys and int payloads.
 
     The PLB, TLB and page-group cache sit on every simulated memory access.
-    {!Assoc_cache} models them faithfully but pays for it: boxed record
-    keys, an allocated slot per entry and [option] returns on the hot path.
-    This module keys the same geometry/policy/accounting semantics onto
-    unboxed [int array] lanes so the access fast path (find / insert /
-    evict) performs zero heap allocations.
+    This module keeps their geometry, replacement policy and hit/miss/
+    eviction accounting on unboxed [int array] lanes, so the access fast
+    path (find / insert / evict) performs zero heap allocations.
 
-    Keys are two ints ([k1], [k2]) plus a caller-supplied hash — the
-    wrappers keep using the exact multiplicative hash of their old
-    {!Assoc_cache} key modules, so set placement (and therefore every
-    hit/miss/eviction decision) is identical across backends. The set
-    index masks the mixed hash to non-negative before [mod] — the same
-    [min_int] guard {!Assoc_cache} carries ([abs min_int] is negative).
+    Keys are two ints ([k1], [k2]) plus a caller-supplied hash: each
+    wrapper supplies its own multiplicative hash, which decides set
+    placement (and therefore every hit/miss/eviction decision). The set
+    index masks the mixed hash to non-negative before [mod], since
+    [abs min_int] is negative.
 
     Payloads are non-negative ints; {!absent} ([-1]) is the miss sentinel,
     which is what makes an allocation-free [find] possible ([Some v] would
     allocate).
 
-    Every instance carries a {!backend}: [Packed] is the int-lane
-    implementation every surface runs on, [Ref] routes the same API
-    through {!Assoc_cache} (the reference model the packed lanes are
-    checked against). A differential harness can therefore drive both
-    through one interface; see [test/test_packed_cache.ml]. *)
-
-type backend = Ref | Packed
-
-val backend_of_string : string -> backend option
-(** ["ref"] / ["packed"] (case-insensitive). *)
-
-val backend_to_string : backend -> string
-
-val default_backend : unit -> backend
-(** Process-global default used when {!create} (or a wrapper's [create])
-    is called without an explicit backend, and by the OS tables
-    ([Os_core], [Inverted_page_table], [Segment_table], [Cap_registry])
-    to choose their representation. Initially [Packed]; [Ref] is reached
-    only by an explicit {!set_default_backend}, [~backend:Ref] or the
-    CLI's [--backend ref]. *)
-
-val set_default_backend : backend -> unit
-(** Set the global default. Called by the CLI's [--backend] flag before
-    any machine is built; worker domains spawned afterwards observe it. *)
+    This is the only implementation. The boxed reference model it is
+    checked against, a generic set-associative cache with [option]
+    returns, lives under [test/] and is driven op by op in lockstep with
+    this one by [test/test_packed_cache.ml]. *)
 
 type t
 
 val create :
-  ?backend:backend ->
   ?policy:Replacement.t ->
   ?seed:int ->
   sets:int ->
   ways:int ->
   unit ->
   t
-(** Same defaults as {!Assoc_cache.S.create}: LRU, seed [0x5a505].
+(** Defaults: LRU, seed [0x5a505] (the seed only matters for [Random]).
     @raise Invalid_argument unless [sets >= 1] and [ways >= 1]. *)
 
-val backend : t -> backend
 val sets : t -> int
 val ways : t -> int
 val capacity : t -> int
@@ -68,8 +43,7 @@ val absent : int
 
 val find : t -> hash:int -> k1:int -> k2:int -> int
 (** Counted probe: increments hits or misses, refreshes recency under
-    LRU. Returns the payload, or {!absent}. Never allocates on the
-    [Packed] backend. *)
+    LRU. Returns the payload, or {!absent}. Never allocates. *)
 
 val peek : t -> hash:int -> k1:int -> k2:int -> int
 (** Uncounted, recency-neutral {!find}. *)
@@ -77,20 +51,19 @@ val peek : t -> hash:int -> k1:int -> k2:int -> int
 val mem : t -> hash:int -> k1:int -> k2:int -> bool
 
 val insert : t -> hash:int -> k1:int -> k2:int -> int -> unit
-(** Insert or overwrite, with {!Assoc_cache} semantics: overwriting a
-    resident key is an LRU touch (FIFO keeps insertion order); a fresh key
-    fills a free way or evicts the policy's victim (counted). The victim,
-    if any, is readable via {!last_eviction} until the next [insert].
-    @raise Invalid_argument on a negative payload or a negative [k1], on
-    either backend. *)
+(** Insert or overwrite: overwriting a resident key is an LRU touch
+    (FIFO keeps insertion order); a fresh key fills a free way or evicts
+    the policy's victim (counted). The victim, if any, is readable via
+    {!last_eviction} until the next [insert].
+    @raise Invalid_argument on a negative payload or a negative [k1]. *)
 
 val last_eviction : t -> (int * int * int) option
 (** [(k1, k2, payload)] evicted by the most recent {!insert}, or [None]
     if it evicted nothing. For the differential tests; allocates. *)
 
 val set : t -> hash:int -> k1:int -> k2:int -> int -> bool
-(** Replace a resident payload in place — no statistics, no recency
-    (the {!Assoc_cache.S.update} discipline). False when absent.
+(** Replace a resident payload in place — no statistics, no recency.
+    False when absent.
     @raise Invalid_argument on a negative payload. *)
 
 val set_masked : t -> hash:int -> k1:int -> k2:int -> mask:int -> bits:int -> bool
@@ -130,8 +103,8 @@ val reset_stats : t -> unit
     The batch engine's decode loop (lib/engine) compiles set bases ahead
     of time and drives the packed lanes directly, skipping the per-access
     hash + [mod sets] division. The raw operations below are the {e only}
-    implementation of the packed fast path — the public API's [Packed]
-    branches call them with [base = raw_base state ~hash] — so a kernel
+    implementation of the fast path — the public API calls them with
+    [base = raw_base state ~hash] — so a kernel
     built on them counts hits/misses/evictions and draws victims exactly
     as the scalar calls would. *)
 
@@ -139,7 +112,7 @@ type packed_state = {
   p_policy : Replacement.t;
   mutable p_rand : int;
       (** splitmix state for Random victim draws; steps in lockstep with
-          the [Ref] backend's so both evict the same ways *)
+          the reference model's, so both evict the same ways *)
   p_sets : int;
   p_ways : int;
   keys1 : int array;
@@ -159,9 +132,8 @@ type packed_state = {
   mutable ev_some : bool;
 }
 
-val packed_state : t -> packed_state option
-(** The underlying lanes when the backend is [Packed]; [None] under
-    [Ref]. *)
+val packed_state : t -> packed_state
+(** The underlying lanes. *)
 
 val free_key : int
 (** The keys1 sentinel marking a free slot ([min_int]); storable keys are

@@ -1,16 +1,16 @@
 (* Entries live in a Packed_cache: k1 = AID, k2 = 0, payload 0/1 = the
-   write-disable bit. Same multiplicative hash as the old Assoc_cache key
-   module, so set placement (trivially, with sets = 1) and eviction order
-   are unchanged on either backend. *)
+   write-disable bit. The cache is a single set, so the multiplicative
+   AID hash never changes placement; it is exported for the batch
+   compiler. *)
 
 let hash_of aid = aid * 0x9e3779b1
 
 type t = { cache : Packed_cache.t; probe : Probe.t }
 
-let create ?backend ?policy ?seed ?(probe = Probe.null) ~entries () =
+let create ?policy ?seed ?(probe = Probe.null) ~entries () =
   if entries < 1 then invalid_arg "Page_group_cache.create: entries >= 1";
   {
-    cache = Packed_cache.create ?backend ?policy ?seed ~sets:1 ~ways:entries ();
+    cache = Packed_cache.create ?policy ?seed ~sets:1 ~ways:entries ();
     probe;
   }
 

@@ -11,12 +11,10 @@
 type t
 
 val create :
-  ?backend:Packed_cache.backend ->
   ?policy:Replacement.t -> ?seed:int -> ?probe:Probe.t -> entries:int ->
   unit -> t
 (** [entries = 4] models the stock PA-RISC PID registers. [probe] receives
-    occupancy/fill/purge gauge writes (default {!Probe.null}). [backend]
-    defaults to {!Packed_cache.default_backend}. *)
+    occupancy/fill/purge gauge writes (default {!Probe.null}). *)
 
 val capacity : t -> int
 val length : t -> int

@@ -3,9 +3,8 @@ open Sasos_addr
 (* Entries live in a Packed_cache: k1 is the protection page number, k2
    packs (pd lsl 6) lor shift — shifts are validated to [4, 62] so six
    bits always hold them, and the Okamoto context-tag PDs (up to ~31
-   bits) keep their full width in the upper lanes. The hash is the exact
-   multiplicative mix the old Assoc_cache key module used, so set
-   placement is unchanged on either backend. *)
+   bits) keep their full width in the upper lanes. The hash is a
+   multiplicative mix of all three key fields. *)
 
 let hash_of ~pd ~shift ~pn =
   (pn * 0x9e3779b1) lxor (pd * 0x85ebca6b) lxor (shift * 0xc2b2ae35)
@@ -20,7 +19,7 @@ type t = {
   probe : Probe.t;
 }
 
-let create ?backend ?policy ?seed ?(probe = Probe.null) ?(shifts = [ 12 ])
+let create ?policy ?seed ?(probe = Probe.null) ?(shifts = [ 12 ])
     ~sets ~ways () =
   if shifts = [] then invalid_arg "Plb.create: no protection page sizes";
   List.iter
@@ -28,7 +27,7 @@ let create ?backend ?policy ?seed ?(probe = Probe.null) ?(shifts = [ 12 ])
     shifts;
   {
     shifts = List.sort_uniq compare shifts;
-    cache = Packed_cache.create ?backend ?policy ?seed ~sets ~ways ();
+    cache = Packed_cache.create ?policy ?seed ~sets ~ways ();
     probe;
   }
 

@@ -16,7 +16,6 @@ open Sasos_addr
 type t
 
 val create :
-  ?backend:Packed_cache.backend ->
   ?policy:Replacement.t ->
   ?seed:int ->
   ?probe:Probe.t ->
@@ -27,8 +26,7 @@ val create :
   t
 (** [shifts] lists the supported protection page sizes as log2 byte sizes;
     default [[12]] (4 KB only). [probe] receives occupancy/fill/purge
-    gauge writes (default {!Probe.null}). [backend] defaults to
-    {!Packed_cache.default_backend}.
+    gauge writes (default {!Probe.null}).
     @raise Invalid_argument if empty. *)
 
 val shifts : t -> int list

@@ -11,9 +11,6 @@
 open Sasos_hw
 open Sasos_os
 
-(* One inter-processor broadcast: the kernel interrupts every other CPU so
-   its private lookup structures see the mutation (§4.1.3: unmapping "is
-   done with a small number of instructions on each processor"). *)
 (* Workload-level costs the machine does not model (SYSTEM.charge_external):
    identical on every machine, so the shared helper lives here. *)
 let charge_external (os : Os_core.t) ~cycles ~page_ins ~page_outs =
@@ -24,6 +21,9 @@ let charge_external (os : Os_core.t) ~cycles ~page_ins ~page_outs =
   m.Metrics.page_outs <- m.Metrics.page_outs + page_outs;
   Os_core.charge os cycles
 
+(* One inter-processor broadcast: the kernel interrupts every other CPU so
+   its private lookup structures see the mutation (§4.1.3: unmapping "is
+   done with a small number of instructions on each processor"). *)
 let charge_shootdown (os : Os_core.t) =
   let cpus = os.Os_core.config.Config.cpus in
   if cpus > 1 then begin

@@ -1,6 +1,6 @@
 open Sasos_util
 
-(* Keyed like the packed inverted page table: the vpn is split across the
+(* Keyed like the inverted page table: the vpn is split across the
    two Flat_tab key lanes (k1 = low 30 bits, always non-negative; k2 =
    high bits) so 49-bit vpns keep full precision.  Page-out sits on the
    page-replacement path, where a hashtable bucket or option per write

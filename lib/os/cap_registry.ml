@@ -1,49 +1,34 @@
 open Sasos_util
 open Sasos_addr
 
-type record = { segment : Segment.id; rights : Rights.t }
-
-(* Packed check index: the 64-bit check value splits across Flat_tab's two
-   key lanes with full precision — k1 = low 30 bits (non-negative as the
-   lane requires), k2 = bits 30..63 (34 bits, well inside a native int).
-   The record packs as [seg_id lsl 3 lor rights]. *)
+(* Check index: the 64-bit check value splits across Flat_tab's two key
+   lanes with full precision — k1 = low 30 bits (non-negative as the lane
+   requires), k2 = bits 30..63 (34 bits, well inside a native int). An
+   entry packs as [seg_id lsl 3 lor rights]. *)
 let check_k1 c = Int64.to_int c land 0x3FFF_FFFF
 let check_k2 c = Int64.to_int (Int64.shift_right_logical c 30)
 
-type store =
-  | Cref of (int64, record) Hashtbl.t
-  | Cflat of Flat_tab.t
-
 type t = {
   rng : Prng.t;
-  store : store;
+  checks : Flat_tab.t;
   names : (string, Capability.t) Hashtbl.t;
   segments_of : (int, Segment.t) Hashtbl.t;
       (* segments seen at mint time, for attach *)
 }
 
-let create ?(packed = Sasos_hw.Packed_cache.(default_backend () = Packed))
-    ?(seed = 0xca9) () =
+let create ?(seed = 0xca9) () =
   {
     rng = Prng.create ~seed;
-    store =
-      (if packed then Cflat (Flat_tab.create ~size_hint:64 ())
-       else Cref (Hashtbl.create 64));
+    checks = Flat_tab.create ~size_hint:64 ();
     names = Hashtbl.create 64;
     segments_of = Hashtbl.create 64;
   }
 
-let mem_check t c =
-  match t.store with
-  | Cref h -> Hashtbl.mem h c
-  | Cflat f -> Flat_tab.mem f ~k1:(check_k1 c) ~k2:(check_k2 c)
+let mem_check t c = Flat_tab.mem t.checks ~k1:(check_k1 c) ~k2:(check_k2 c)
 
 let record_check t c ~segment ~rights =
-  match t.store with
-  | Cref h -> Hashtbl.replace h c { segment; rights }
-  | Cflat f ->
-      Flat_tab.replace f ~k1:(check_k1 c) ~k2:(check_k2 c)
-        ~v:((Segment.id_to_int segment lsl 3) lor Rights.to_int rights)
+  Flat_tab.replace t.checks ~k1:(check_k1 c) ~k2:(check_k2 c)
+    ~v:((Segment.id_to_int segment lsl 3) lor Rights.to_int rights)
 
 let fresh_check t =
   (* sparse: collisions are vanishingly unlikely, but loop anyway *)
@@ -60,19 +45,11 @@ let mint t (seg : Segment.t) rights =
   Capability.make ~segment:seg.Segment.id ~rights ~check
 
 let validate t cap =
-  match t.store with
-  | Cref h -> (
-      match Hashtbl.find_opt h (Capability.check cap) with
-      | Some r ->
-          Segment.id_equal r.segment (Capability.segment cap)
-          && Rights.equal r.rights (Capability.rights cap)
-      | None -> false)
-  | Cflat f ->
-      let c = Capability.check cap in
-      let v = Flat_tab.find f ~k1:(check_k1 c) ~k2:(check_k2 c) in
-      v >= 0
-      && v lsr 3 = Segment.id_to_int (Capability.segment cap)
-      && v land 7 = Rights.to_int (Capability.rights cap)
+  let c = Capability.check cap in
+  let v = Flat_tab.find t.checks ~k1:(check_k1 c) ~k2:(check_k2 c) in
+  v >= 0
+  && v lsr 3 = Segment.id_to_int (Capability.segment cap)
+  && v land 7 = Rights.to_int (Capability.rights cap)
 
 let restrict t cap rights =
   if not (validate t cap) then Error "invalid capability"
@@ -85,11 +62,8 @@ let restrict t cap rights =
   end
 
 let revoke t cap =
-  match t.store with
-  | Cref h -> Hashtbl.remove h (Capability.check cap)
-  | Cflat f ->
-      let c = Capability.check cap in
-      Flat_tab.remove f ~k1:(check_k1 c) ~k2:(check_k2 c)
+  let c = Capability.check cap in
+  Flat_tab.remove t.checks ~k1:(check_k1 c) ~k2:(check_k2 c)
 
 let attach t sys pd cap rights =
   if not (validate t cap) then Error "invalid capability"

@@ -11,11 +11,10 @@ open Sasos_addr
 
 type t
 
-val create : ?packed:bool -> ?seed:int -> unit -> t
-(** [~packed:true] keeps the check index in flat int lanes (the 64-bit
-    check split across two key lanes at full precision) so {!validate}
-    never allocates; [~packed:false] keeps the reference [Hashtbl].
-    [packed] defaults to [Packed_cache.default_backend () = Packed]. *)
+val create : ?seed:int -> unit -> t
+(** The check index lives in flat int lanes (the 64-bit check split
+    across two key lanes at full precision), so {!validate} never
+    allocates. [seed] drives the check-field draws. *)
 
 (** {2 Capabilities} *)
 

@@ -3,33 +3,23 @@ open Sasos_addr
 open Sasos_hw
 open Sasos_mem
 
-(* The protection database has two storage backends behind one interface,
-   selected by [Packed_cache.default_backend ()] like the hardware caches:
+(* The protection database: attachments, overrides and override counts
+   keyed on {!Flat_tab} int lanes, so the ground-truth [rights] probe
+   (override, then segment binary search, then attachment) touches only
+   int arrays and never allocates.  Three auxiliary indexes replace the
+   O(#domains) scans that would be catastrophic at million-domain scale
+   geometries:
+     [seg_doms]    seg id -> pds holding an attachment or any override
+                   inside the segment (candidates for
+                   [domains_with_rights]);
+     [unit_over]   protection unit -> number of live-domain overrides
+                   (O(1) [page_has_override]);
+     [dom_live]    created-and-not-destroyed pds, because only created
+                   domains hold rights.
+   A tuple-keyed Hashtbl model of the same truth lives under test/ and is
+   QCheck-lockstepped against this one op by op (test/test_os_store.ml). *)
 
-   - [Sref]: the reference representation — polymorphic Hashtbls keyed by
-     (pd, seg id) / (pd, protection unit) tuples.  Every probe allocates
-     the tuple key and hashes generically.
-
-   - [Sflat]: all three tables rekeyed onto {!Flat_tab} int lanes, so the
-     ground-truth [rights] probe (override, then segment binary search,
-     then attachment) touches only int arrays and never allocates.  Three
-     auxiliary indexes replace the O(#domains) scans that would be
-     catastrophic at million-domain scale geometries:
-       [seg_doms]    seg id -> pds holding an attachment or any override
-                     inside the segment (candidates for
-                     [domains_with_rights]);
-       [unit_over]   protection unit -> number of live-domain overrides
-                     (O(1) [page_has_override]);
-       [dom_live]    created-and-not-destroyed pds, because the reference
-                     semantics consult only created domains.
-
-   [Sflat] is what every surface runs on; [Sref] is the reference model,
-   reached only through [--backend ref] or an explicit
-   [set_default_backend Ref].  The two are QCheck-lockstepped op by op
-   (test/test_os_store.ml), and corpus replay and the byte-identical
-   report rules compare whole runs against [--backend ref]. *)
-
-type flat_store = {
+type store = {
   f_attachments : Flat_tab.t; (* k1 = pd, k2 = seg id -> rights *)
   f_overrides : Flat_tab.t; (* k1 = pd, k2 = prot unit -> rights *)
   f_override_counts : Flat_tab.t; (* k1 = pd, k2 = seg id -> count *)
@@ -37,14 +27,6 @@ type flat_store = {
   f_seg_doms : (int, int list) Hashtbl.t;
   f_dom_live : Flat_tab.t; (* pd -> 1 *)
 }
-
-type store =
-  | Sref of {
-      attachments : (int * int, Rights.t) Hashtbl.t;
-      overrides : (int * int, Rights.t) Hashtbl.t;
-      override_counts : (int * int, int) Hashtbl.t;
-    }
-  | Sflat of flat_store
 
 type t = {
   config : Config.t;
@@ -65,38 +47,28 @@ type t = {
 }
 
 let create (config : Config.t) =
-  let packed = Packed_cache.default_backend () = Packed_cache.Packed in
   {
     config;
     geom = config.Config.geom;
     cost = config.Config.cost;
     metrics = Metrics.create ();
-    segments = Segment_table.create ~packed config.Config.geom;
+    segments = Segment_table.create config.Config.geom;
     frames = Frame_allocator.create ~frames:config.Config.frames;
-    ipt = Inverted_page_table.create ~packed ();
+    ipt = Inverted_page_table.create ();
     disk = Backing_store.create ();
+    (* every table starts small and grows on demand: a machine build pays
+       for what its run stores, not for a guess at it. No iteration order
+       of these tables reaches output (destroy_domain folds only to
+       collect the keys it removes). *)
     store =
-      (if packed then
-         (* every flat table starts small and grows on demand: a machine
-            build pays for what its run stores, not for a guess at it. No
-            iteration order of these tables reaches output (destroy_domain
-            folds only to collect the keys it removes). *)
-         Sflat
-           {
-             f_attachments = Flat_tab.create ();
-             f_overrides = Flat_tab.create ();
-             f_override_counts = Flat_tab.create ();
-             f_unit_over = Flat_tab.create ();
-             f_seg_doms = Hashtbl.create 8;
-             f_dom_live = Flat_tab.create ();
-           }
-       else
-         Sref
-           {
-             attachments = Hashtbl.create 256;
-             overrides = Hashtbl.create 1024;
-             override_counts = Hashtbl.create 256;
-           });
+      {
+        f_attachments = Flat_tab.create ();
+        f_overrides = Flat_tab.create ();
+        f_override_counts = Flat_tab.create ();
+        f_unit_over = Flat_tab.create ();
+        f_seg_doms = Hashtbl.create 8;
+        f_dom_live = Flat_tab.create ();
+      };
     resident_fifo = Int_queue.create ();
     domains = [];
     next_pd = 1;
@@ -150,9 +122,7 @@ let new_domain t =
   let pd = Pd.of_int t.next_pd in
   t.next_pd <- t.next_pd + 1;
   t.domains <- pd :: t.domains;
-  (match t.store with
-  | Sref _ -> ()
-  | Sflat s -> Flat_tab.replace s.f_dom_live ~k1:(Pd.to_int pd) ~k2:0 ~v:1);
+  Flat_tab.replace t.store.f_dom_live ~k1:(Pd.to_int pd) ~k2:0 ~v:1;
   pd
 
 let domain_list t = List.rev t.domains
@@ -162,88 +132,47 @@ let destroy_domain t pd =
     invalid_arg "Os_core.destroy_domain: domain is running";
   t.domains <- List.filter (fun d -> not (Pd.equal d pd)) t.domains;
   let i = Pd.to_int pd in
-  match t.store with
-  | Sref s ->
-      let drop tbl =
-        let keys =
-          Hashtbl.fold
-            (fun (d, k) _ acc -> if d = i then (d, k) :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) keys
-      in
-      drop s.attachments;
-      drop s.overrides;
-      drop s.override_counts
-  | Sflat s ->
-      let was_live = live s i in
-      let collect tab =
-        Flat_tab.fold tab
-          (fun k1 k2 _ acc -> if k1 = i then k2 :: acc else acc)
-          []
-      in
-      let att_segs = collect s.f_attachments in
-      let over_units = collect s.f_overrides in
-      let count_segs = collect s.f_override_counts in
-      List.iter (fun sid -> Flat_tab.remove s.f_attachments ~k1:i ~k2:sid)
-        att_segs;
-      List.iter
-        (fun u ->
-          Flat_tab.remove s.f_overrides ~k1:i ~k2:u;
-          if was_live then unit_over_bump s u (-1))
-        over_units;
-      List.iter
-        (fun sid -> Flat_tab.remove s.f_override_counts ~k1:i ~k2:sid)
-        count_segs;
-      Flat_tab.remove s.f_dom_live ~k1:i ~k2:0;
-      List.iter
-        (fun sid -> sd_drop_if_orphan s sid i)
-        (List.sort_uniq compare (att_segs @ count_segs))
+  let s = t.store in
+  let was_live = live s i in
+  let collect tab =
+    Flat_tab.fold tab (fun k1 k2 _ acc -> if k1 = i then k2 :: acc else acc) []
+  in
+  let att_segs = collect s.f_attachments in
+  let over_units = collect s.f_overrides in
+  let count_segs = collect s.f_override_counts in
+  List.iter (fun sid -> Flat_tab.remove s.f_attachments ~k1:i ~k2:sid) att_segs;
+  List.iter
+    (fun u ->
+      Flat_tab.remove s.f_overrides ~k1:i ~k2:u;
+      if was_live then unit_over_bump s u (-1))
+    over_units;
+  List.iter
+    (fun sid -> Flat_tab.remove s.f_override_counts ~k1:i ~k2:sid)
+    count_segs;
+  Flat_tab.remove s.f_dom_live ~k1:i ~k2:0;
+  List.iter
+    (fun sid -> sd_drop_if_orphan s sid i)
+    (List.sort_uniq compare (att_segs @ count_segs))
 
 let prot_unit t va = va lsr t.geom.Geometry.prot_shift
 
 let rights t pd va =
-  match t.store with
-  | Sref s -> (
-      match Hashtbl.find_opt s.overrides (Pd.to_int pd, prot_unit t va) with
-      | Some r -> r
-      | None -> begin
-          match Segment_table.find_by_va t.segments va with
-          | None -> Rights.none
-          | Some seg -> begin
-              match
-                Hashtbl.find_opt s.attachments
-                  (Pd.to_int pd, Segment.id_to_int seg.Segment.id)
-              with
-              | Some r -> r
-              | None -> Rights.none
-            end
-        end)
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      let u = prot_unit t va in
-      let o = Flat_tab.find s.f_overrides ~k1:pdi ~k2:u in
-      if o >= 0 then Rights.of_int o
-      else
-        let sid = Segment_table.find_id_by_va t.segments va in
-        if sid < 0 then Rights.none
-        else
-          let a = Flat_tab.find s.f_attachments ~k1:pdi ~k2:sid in
-          if a >= 0 then Rights.of_int a else Rights.none
+  let s = t.store in
+  let pdi = Pd.to_int pd in
+  let o = Flat_tab.find s.f_overrides ~k1:pdi ~k2:(prot_unit t va) in
+  if o >= 0 then Rights.of_int o
+  else
+    let sid = Segment_table.find_id_by_va t.segments va in
+    if sid < 0 then Rights.none
+    else
+      let a = Flat_tab.find s.f_attachments ~k1:pdi ~k2:sid in
+      if a >= 0 then Rights.of_int a else Rights.none
 
 let set_attachment t pd seg r =
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.replace s.attachments (Pd.to_int pd, sid) r
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      Flat_tab.replace s.f_attachments ~k1:pdi ~k2:sid ~v:(Rights.to_int r);
-      sd_add s sid pdi
-
-let count_key t pd va =
-  Option.map
-    (fun seg -> (Pd.to_int pd, Segment.id_to_int seg.Segment.id))
-    (Segment_table.find_by_va t.segments va)
+  let pdi = Pd.to_int pd in
+  Flat_tab.replace t.store.f_attachments ~k1:pdi ~k2:sid ~v:(Rights.to_int r);
+  sd_add t.store sid pdi
 
 let remove_attachment t pd (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
@@ -251,99 +180,64 @@ let remove_attachment t pd (seg : Segment.t) =
   let shift = t.geom.Geometry.prot_shift in
   let lo = seg.Segment.base lsr shift in
   let hi = (Segment.limit seg - 1) lsr shift in
-  match t.store with
-  | Sref s ->
-      Hashtbl.remove s.attachments (pdi, sid);
-      (* per-page overrides within the segment die with the attachment *)
-      for unit = lo to hi do
-        Hashtbl.remove s.overrides (pdi, unit)
-      done;
-      Hashtbl.remove s.override_counts (pdi, sid)
-  | Sflat s ->
-      Flat_tab.remove s.f_attachments ~k1:pdi ~k2:sid;
-      let was_live = live s pdi in
-      for unit = lo to hi do
-        if Flat_tab.find s.f_overrides ~k1:pdi ~k2:unit >= 0 then begin
-          Flat_tab.remove s.f_overrides ~k1:pdi ~k2:unit;
-          if was_live then unit_over_bump s unit (-1)
-        end
-      done;
-      Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
-      sd_drop_if_orphan s sid pdi
+  let s = t.store in
+  Flat_tab.remove s.f_attachments ~k1:pdi ~k2:sid;
+  let was_live = live s pdi in
+  (* per-page overrides within the segment die with the attachment *)
+  for unit = lo to hi do
+    if Flat_tab.find s.f_overrides ~k1:pdi ~k2:unit >= 0 then begin
+      Flat_tab.remove s.f_overrides ~k1:pdi ~k2:unit;
+      if was_live then unit_over_bump s unit (-1)
+    end
+  done;
+  Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
+  sd_drop_if_orphan s sid pdi
 
 let attachment t pd (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.find_opt s.attachments (Pd.to_int pd, sid)
-  | Sflat s ->
-      let v = Flat_tab.find s.f_attachments ~k1:(Pd.to_int pd) ~k2:sid in
-      if v < 0 then None else Some (Rights.of_int v)
+  let v = Flat_tab.find t.store.f_attachments ~k1:(Pd.to_int pd) ~k2:sid in
+  if v < 0 then None else Some (Rights.of_int v)
 
 let bump_count t pd va delta =
-  match t.store with
-  | Sref s -> (
-      match count_key t pd va with
-      | None -> ()
-      | Some key ->
-          let c =
-            Option.value (Hashtbl.find_opt s.override_counts key) ~default:0
-          in
-          let c = c + delta in
-          if c <= 0 then Hashtbl.remove s.override_counts key
-          else Hashtbl.replace s.override_counts key c)
-  | Sflat s -> (
-      match Segment_table.find_id_by_va t.segments va with
-      | -1 -> ()
-      | sid ->
-          let pdi = Pd.to_int pd in
-          let c = Flat_tab.find s.f_override_counts ~k1:pdi ~k2:sid in
-          let c = (if c < 0 then 0 else c) + delta in
-          if c <= 0 then begin
-            Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
-            sd_drop_if_orphan s sid pdi
-          end
-          else begin
-            Flat_tab.replace s.f_override_counts ~k1:pdi ~k2:sid ~v:c;
-            sd_add s sid pdi
-          end)
+  match Segment_table.find_id_by_va t.segments va with
+  | -1 -> ()
+  | sid ->
+      let s = t.store in
+      let pdi = Pd.to_int pd in
+      let c = Flat_tab.find s.f_override_counts ~k1:pdi ~k2:sid in
+      let c = (if c < 0 then 0 else c) + delta in
+      if c <= 0 then begin
+        Flat_tab.remove s.f_override_counts ~k1:pdi ~k2:sid;
+        sd_drop_if_orphan s sid pdi
+      end
+      else begin
+        Flat_tab.replace s.f_override_counts ~k1:pdi ~k2:sid ~v:c;
+        sd_add s sid pdi
+      end
 
 let set_override t pd va r =
+  let s = t.store in
   let u = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      let key = (Pd.to_int pd, u) in
-      if not (Hashtbl.mem s.overrides key) then bump_count t pd va 1;
-      Hashtbl.replace s.overrides key r
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u < 0 then begin
-        bump_count t pd va 1;
-        if live s pdi then unit_over_bump s u 1
-      end;
-      Flat_tab.replace s.f_overrides ~k1:pdi ~k2:u ~v:(Rights.to_int r)
+  let pdi = Pd.to_int pd in
+  if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u < 0 then begin
+    bump_count t pd va 1;
+    if live s pdi then unit_over_bump s u 1
+  end;
+  Flat_tab.replace s.f_overrides ~k1:pdi ~k2:u ~v:(Rights.to_int r)
 
 let clear_override t pd va =
+  let s = t.store in
   let u = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      let key = (Pd.to_int pd, u) in
-      if Hashtbl.mem s.overrides key then begin
-        Hashtbl.remove s.overrides key;
-        bump_count t pd va (-1)
-      end
-  | Sflat s ->
-      let pdi = Pd.to_int pd in
-      if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u >= 0 then begin
-        Flat_tab.remove s.f_overrides ~k1:pdi ~k2:u;
-        bump_count t pd va (-1);
-        if live s pdi then unit_over_bump s u (-1)
-      end
+  let pdi = Pd.to_int pd in
+  if Flat_tab.find s.f_overrides ~k1:pdi ~k2:u >= 0 then begin
+    Flat_tab.remove s.f_overrides ~k1:pdi ~k2:u;
+    bump_count t pd va (-1);
+    if live s pdi then unit_over_bump s u (-1)
+  end
 
 let has_overrides t pd (seg : Segment.t) =
   let sid = Segment.id_to_int seg.Segment.id in
-  match t.store with
-  | Sref s -> Hashtbl.mem s.override_counts (Pd.to_int pd, sid)
-  | Sflat s -> Flat_tab.find s.f_override_counts ~k1:(Pd.to_int pd) ~k2:sid >= 0
+  Flat_tab.find t.store.f_override_counts ~k1:(Pd.to_int pd) ~k2:sid >= 0
 
 let override_units_in_segment t pd (seg : Segment.t) =
   if not (has_overrides t pd seg) then []
@@ -353,64 +247,40 @@ let override_units_in_segment t pd (seg : Segment.t) =
     let hi = (Segment.limit seg - 1) lsr shift in
     let pdi = Pd.to_int pd in
     let units = ref [] in
-    (match t.store with
-    | Sref s ->
-        for unit = hi downto lo do
-          if Hashtbl.mem s.overrides (pdi, unit) then units := unit :: !units
-        done
-    | Sflat s ->
-        for unit = hi downto lo do
-          if Flat_tab.find s.f_overrides ~k1:pdi ~k2:unit >= 0 then
-            units := unit :: !units
-        done);
+    for unit = hi downto lo do
+      if Flat_tab.find t.store.f_overrides ~k1:pdi ~k2:unit >= 0 then
+        units := unit :: !units
+    done;
     !units
   end
 
-let page_has_override t va =
-  let unit = prot_unit t va in
-  match t.store with
-  | Sref s ->
-      List.exists
-        (fun pd -> Hashtbl.mem s.overrides (Pd.to_int pd, unit))
-        t.domains
-  | Sflat s ->
-      Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit) > 0
+let unit_overrides s unit =
+  Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit)
+
+let page_has_override t va = unit_overrides t.store (prot_unit t va) > 0
 
 let domains_with_rights t va =
-  match t.store with
-  | Sref _ ->
-      List.filter_map
-        (fun pd ->
-          let r = rights t pd va in
-          if Rights.equal r Rights.none then None else Some (pd, r))
-        (domain_list t)
-  | Sflat s -> (
-      let keep pdi =
-        if not (live s pdi) then None
-        else
-          let pd = Pd.of_int pdi in
-          let r = rights t pd va in
-          if Rights.equal r Rights.none then None else Some (pd, r)
+  let s = t.store in
+  let keep pdi =
+    if not (live s pdi) then None
+    else
+      let pd = Pd.of_int pdi in
+      let r = rights t pd va in
+      if Rights.equal r Rights.none then None else Some (pd, r)
+  in
+  match Segment_table.find_id_by_va t.segments va with
+  | -1 ->
+      (* outside every live segment only overrides can grant; the per-unit
+         live count tells us whether any exist at all *)
+      if unit_overrides s (prot_unit t va) <= 0 then []
+      else List.filter_map (fun pd -> keep (Pd.to_int pd)) (domain_list t)
+  | sid ->
+      let pds =
+        match Hashtbl.find_opt s.f_seg_doms sid with Some l -> l | None -> []
       in
-      match Segment_table.find_id_by_va t.segments va with
-      | -1 ->
-          (* outside every live segment only overrides can grant; the
-             per-unit live count tells us whether any exist at all *)
-          let unit = prot_unit t va in
-          if Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit)
-             <= 0
-          then []
-          else
-            List.filter_map (fun pd -> keep (Pd.to_int pd)) (domain_list t)
-      | sid ->
-          let pds =
-            match Hashtbl.find_opt s.f_seg_doms sid with
-            | Some l -> l
-            | None -> []
-          in
-          (* candidate lists are unordered; reference order is creation
-             order, which is ascending pd since ids are monotonic *)
-          List.filter_map keep (List.sort_uniq compare pds))
+      (* candidate lists are unordered; the documented order is creation
+         order, which is ascending pd since ids are monotonic *)
+      List.filter_map keep (List.sort_uniq compare pds)
 
 let charge t cycles = t.metrics.Metrics.cycles <- t.metrics.Metrics.cycles + cycles
 
@@ -473,14 +343,13 @@ let ensure_mapped t ~vpn ~before_evict =
 
 let is_resident t ~vpn = Inverted_page_table.is_mapped t.ipt ~vpn
 
-let pfn_of t ~vpn =
-  Option.map
-    (fun m -> m.Inverted_page_table.pfn)
-    (Inverted_page_table.find t.ipt ~vpn)
-
 let pfn_int t ~vpn =
   let bits = Inverted_page_table.find_bits t.ipt ~vpn in
   if bits < 0 then -1 else Inverted_page_table.bits_pfn bits
+
+let pfn_of t ~vpn =
+  let pfn = pfn_int t ~vpn in
+  if pfn < 0 then None else Some pfn
 
 let pa_of t va =
   let vpn = Va.vpn_of_va t.geom va in

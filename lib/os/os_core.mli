@@ -15,16 +15,12 @@ open Sasos_mem
 
 type store
 (** The protection database — per-(domain, segment) attachment rights,
-    per-(domain, protection-unit) overrides, and override counts — on one
-    of two storage backends: flat {!Sasos_util.Flat_tab} int lanes whose
-    ground-truth probes never allocate (plus the candidate/count indexes
-    that keep {!domains_with_rights} and {!page_has_override} off
-    O(#domains) scans at million-domain geometries), or the reference
-    tuple-keyed Hashtbls. Selected at {!create} time by
-    [Packed_cache.default_backend ()]: the flat lanes unless a caller
-    chose [Ref] (the CLI's [--backend ref], the lockstep tests). The flat
-    tables start at {!Sasos_util.Flat_tab}'s default capacity and grow on
-    demand, so building one costs less than the reference tables. *)
+    per-(domain, protection-unit) overrides, and override counts — on
+    flat {!Sasos_util.Flat_tab} int lanes whose ground-truth probes never
+    allocate, plus the candidate/count indexes that keep
+    {!domains_with_rights} and {!page_has_override} off O(#domains) scans
+    at million-domain geometries. The tables start at
+    {!Sasos_util.Flat_tab}'s default capacity and grow on demand. *)
 
 type t = {
   config : Config.t;

@@ -1,34 +1,20 @@
 open Sasos_addr
 
-module Base_map = Map.Make (Int)
-
-(* Packed representation: live segments as parallel flat int arrays sorted
-   by base.  Bases are allocated monotonically (addresses never reused), so
-   an append keeps the sort invariant for free and [find_by_va] is a
-   binary search that touches only int lanes — no Map nodes, no closure,
-   no option — which is what the million-segment shard geometries need.
-   Destruction shifts the tail left (rare, and segment count per shard is
-   bounded). *)
-type packed = {
+(* Live segments as parallel flat int arrays sorted by base.  Bases are
+   allocated monotonically (addresses never reused), so an append keeps the
+   sort invariant for free and [find_by_va] is a binary search that touches
+   only int lanes — no Map nodes, no closure, no option — which is what the
+   million-segment shard geometries need.  Destruction shifts the tail left
+   (rare, and segment count per shard is bounded). *)
+type t = {
+  geom : Geometry.t;
+  mutable next_base : Va.t;
+  mutable next_id : int;
   mutable bases : int array;
   mutable limits : int array; (* base + size, exclusive *)
   mutable ids : int array;
   mutable n : int;
-  mutable by_id_arr : Segment.t option array; (* dense, indexed by id *)
-}
-
-type repr =
-  | Map_repr of {
-      mutable by_base : Segment.t Base_map.t;
-      by_id : (int, Segment.t) Hashtbl.t;
-    }
-  | Flat_repr of packed
-
-type t = {
-  geom : Geometry.t;
-  repr : repr;
-  mutable next_base : Va.t;
-  mutable next_id : int;
+  mutable by_id : Segment.t option array; (* dense, indexed by id *)
 }
 
 (* Leave low space clear (null page etc.) and start segments at 16 MB. *)
@@ -37,21 +23,17 @@ let initial_base = 0x100_0000
 (* Keep simulated addresses within OCaml's 62 usable bits. *)
 let address_limit = 1 lsl 61
 
-let create ?(packed = Sasos_hw.Packed_cache.(default_backend () = Packed))
-    geom =
-  let repr =
-    if packed then
-      Flat_repr
-        {
-          bases = Array.make 64 max_int;
-          limits = Array.make 64 max_int;
-          ids = Array.make 64 (-1);
-          n = 0;
-          by_id_arr = Array.make 64 None;
-        }
-    else Map_repr { by_base = Base_map.empty; by_id = Hashtbl.create 256 }
-  in
-  { geom; repr; next_base = initial_base; next_id = 1 }
+let create geom =
+  {
+    geom;
+    next_base = initial_base;
+    next_id = 1;
+    bases = Array.make 64 max_int;
+    limits = Array.make 64 max_int;
+    ids = Array.make 64 (-1);
+    n = 0;
+    by_id = Array.make 64 None;
+  }
 
 let grow_lane a fill =
   let b = Array.make (Array.length a * 2) fill in
@@ -66,9 +48,17 @@ let allocate t ?(name = "") ?align_shift ~pages () =
     | Some s ->
         if s < page_shift then
           invalid_arg "Segment_table.allocate: align below page size"
+        else if s >= 61 then
+          (* [1 lsl s] is unspecified from 63 up, and no base aligned to
+             2^61 or more lies below [address_limit] *)
+          invalid_arg "Segment_table.allocate: align_shift >= 61"
         else 1 lsl s
   in
   let base = Sasos_util.Bits.round_up t.next_base align in
+  (* checked before shifting: [pages lsl page_shift] wraps negative for
+     huge counts and would slip under the limit test below *)
+  if pages > (address_limit - base) asr page_shift then
+    invalid_arg "Segment_table.allocate: pages exceed the address space";
   let size = pages lsl page_shift in
   if base + size >= address_limit then
     invalid_arg "Segment_table.allocate: address space exhausted";
@@ -81,28 +71,21 @@ let allocate t ?(name = "") ?align_shift ~pages () =
   let seg =
     { Segment.id = Segment.id_of_int id; name; base; pages; page_shift }
   in
-  (match t.repr with
-  | Map_repr m ->
-      m.by_base <- Base_map.add base seg m.by_base;
-      Hashtbl.replace m.by_id id seg
-  | Flat_repr p ->
-      if p.n = Array.length p.bases then begin
-        p.bases <- grow_lane p.bases max_int;
-        p.limits <- grow_lane p.limits max_int;
-        p.ids <- grow_lane p.ids (-1)
-      end;
-      p.bases.(p.n) <- base;
-      p.limits.(p.n) <- base + size;
-      p.ids.(p.n) <- id;
-      p.n <- p.n + 1;
-      if id >= Array.length p.by_id_arr then begin
-        let b =
-          Array.make (max (Array.length p.by_id_arr * 2) (id + 1)) None
-        in
-        Array.blit p.by_id_arr 0 b 0 (Array.length p.by_id_arr);
-        p.by_id_arr <- b
-      end;
-      p.by_id_arr.(id) <- Some seg);
+  if t.n = Array.length t.bases then begin
+    t.bases <- grow_lane t.bases max_int;
+    t.limits <- grow_lane t.limits max_int;
+    t.ids <- grow_lane t.ids (-1)
+  end;
+  t.bases.(t.n) <- base;
+  t.limits.(t.n) <- base + size;
+  t.ids.(t.n) <- id;
+  t.n <- t.n + 1;
+  if id >= Array.length t.by_id then begin
+    let b = Array.make (max (Array.length t.by_id * 2) (id + 1)) None in
+    Array.blit t.by_id 0 b 0 (Array.length t.by_id);
+    t.by_id <- b
+  end;
+  t.by_id.(id) <- Some seg;
   seg
 
 (* Rightmost index with bases.(i) <= va, or -1.  Monomorphized binary
@@ -114,78 +97,39 @@ let rec bsearch (bases : int array) va lo hi =
     if Array.unsafe_get bases mid <= va then bsearch bases va (mid + 1) hi
     else bsearch bases va lo (mid - 1)
 
-let destroy t id =
-  let id = Segment.id_to_int id in
-  match t.repr with
-  | Map_repr m -> (
-      match Hashtbl.find_opt m.by_id id with
-      | None -> raise Not_found
-      | Some seg ->
-          Hashtbl.remove m.by_id id;
-          m.by_base <- Base_map.remove seg.Segment.base m.by_base;
-          seg)
-  | Flat_repr p -> (
-      let seg =
-        if id >= 0 && id < Array.length p.by_id_arr then p.by_id_arr.(id)
-        else None
-      in
-      match seg with
-      | None -> raise Not_found
-      | Some seg ->
-          p.by_id_arr.(id) <- None;
-          let i = bsearch p.bases seg.Segment.base 0 (p.n - 1) in
-          assert (i >= 0 && p.ids.(i) = id);
-          let tail = p.n - i - 1 in
-          Array.blit p.bases (i + 1) p.bases i tail;
-          Array.blit p.limits (i + 1) p.limits i tail;
-          Array.blit p.ids (i + 1) p.ids i tail;
-          p.n <- p.n - 1;
-          p.bases.(p.n) <- max_int;
-          p.limits.(p.n) <- max_int;
-          p.ids.(p.n) <- -1;
-          seg)
-
 let find t id =
   let id = Segment.id_to_int id in
-  match t.repr with
-  | Map_repr m -> Hashtbl.find_opt m.by_id id
-  | Flat_repr p ->
-      if id >= 0 && id < Array.length p.by_id_arr then p.by_id_arr.(id)
-      else None
+  if id >= 0 && id < Array.length t.by_id then t.by_id.(id) else None
 
-let find_by_va t va =
-  match t.repr with
-  | Map_repr m -> (
-      match Base_map.find_last_opt (fun base -> base <= va) m.by_base with
-      | Some (_, seg) when Segment.contains seg va -> Some seg
-      | Some _ | None -> None)
-  | Flat_repr p ->
-      let i = bsearch p.bases va 0 (p.n - 1) in
-      if i >= 0 && va < p.limits.(i) then p.by_id_arr.(p.ids.(i)) else None
+let destroy t id =
+  match find t id with
+  | None -> raise Not_found
+  | Some seg ->
+      let id = Segment.id_to_int id in
+      t.by_id.(id) <- None;
+      let i = bsearch t.bases seg.Segment.base 0 (t.n - 1) in
+      assert (i >= 0 && t.ids.(i) = id);
+      let tail = t.n - i - 1 in
+      Array.blit t.bases (i + 1) t.bases i tail;
+      Array.blit t.limits (i + 1) t.limits i tail;
+      Array.blit t.ids (i + 1) t.ids i tail;
+      t.n <- t.n - 1;
+      t.bases.(t.n) <- max_int;
+      t.limits.(t.n) <- max_int;
+      t.ids.(t.n) <- -1;
+      seg
 
 let find_id_by_va t va =
-  match t.repr with
-  | Map_repr _ -> (
-      match find_by_va t va with
-      | Some seg -> Segment.id_to_int seg.Segment.id
-      | None -> -1)
-  | Flat_repr p ->
-      let i = bsearch p.bases va 0 (p.n - 1) in
-      if i >= 0 && va < Array.unsafe_get p.limits i then
-        Array.unsafe_get p.ids i
-      else -1
+  let i = bsearch t.bases va 0 (t.n - 1) in
+  if i >= 0 && va < Array.unsafe_get t.limits i then Array.unsafe_get t.ids i
+  else -1
 
-let live_count t =
-  match t.repr with
-  | Map_repr m -> Hashtbl.length m.by_id
-  | Flat_repr p -> p.n
+let find_by_va t va =
+  match find_id_by_va t va with -1 -> None | id -> t.by_id.(id)
+
+let live_count t = t.n
 
 let iter f t =
-  match t.repr with
-  | Map_repr m -> Base_map.iter (fun _ s -> f s) m.by_base
-  | Flat_repr p ->
-      for i = 0 to p.n - 1 do
-        match p.by_id_arr.(p.ids.(i)) with
-        | Some s -> f s
-        | None -> assert false
-      done
+  for i = 0 to t.n - 1 do
+    match t.by_id.(t.ids.(i)) with Some s -> f s | None -> assert false
+  done

@@ -35,20 +35,27 @@ let replay trace sys =
     sg.Segment.base + off
   in
   let outcomes = ref [] in
+  (* Segment sizes and alignments, charge amounts and which domain is
+     running are checked by the machine, which refuses a bad one with
+     Invalid_argument: for those three event kinds the refusal is the
+     trace's error, not a crash. *)
   let step event =
     match (event : Event.t) with
     | Event.New_domain ->
         grow domains !npd;
         !domains.(!npd) <- Some (System_ops.new_domain sys);
         incr npd
-    | Event.Destroy_domain { pd = d } ->
-        System_ops.destroy_domain sys (pd d);
-        !domains.(d) <- None
-    | Event.New_segment { pages; align_shift; name } ->
-        grow segments !nseg;
-        !segments.(!nseg) <-
-          Some (System_ops.new_segment sys ~name ?align_shift ~pages ());
-        incr nseg
+    | Event.Destroy_domain { pd = d } -> (
+        match System_ops.destroy_domain sys (pd d) with
+        | () -> !domains.(d) <- None
+        | exception Invalid_argument reason -> raise (Bad reason))
+    | Event.New_segment { pages; align_shift; name } -> (
+        match System_ops.new_segment sys ~name ?align_shift ~pages () with
+        | s ->
+            grow segments !nseg;
+            !segments.(!nseg) <- Some s;
+            incr nseg
+        | exception Invalid_argument reason -> raise (Bad reason))
     | Event.Destroy_segment { seg = s } ->
         System_ops.destroy_segment sys (seg s);
         !segments.(s) <- None
@@ -69,8 +76,9 @@ let replay trace sys =
         if page < 0 || page >= sg.Segment.pages then
           raise (Bad (Printf.sprintf "page %d outside segment %d" page s));
         System_ops.unmap_page sys (Segment.first_vpn sg + page)
-    | Event.Charge { cycles; page_ins; page_outs } ->
-        System_ops.charge_external sys ~page_ins ~page_outs ~cycles ()
+    | Event.Charge { cycles; page_ins; page_outs } -> (
+        try System_ops.charge_external sys ~page_ins ~page_outs ~cycles ()
+        with Invalid_argument reason -> raise (Bad reason))
   in
   (* When a collector is ambient, each replayed event becomes a phase span
      named after its keyword; with_phase is exception-safe, so a Bad event

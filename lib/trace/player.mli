@@ -18,7 +18,10 @@ val replay :
   Event.t list -> System_intf.packed -> (Access.outcome list, error) result
 (** Execute the trace; the result lists the outcome of each [Access] event
     in order. Fails (without raising) on a malformed trace: references to
-    domains/segments that do not exist yet, offsets outside a segment. *)
+    domains/segments that do not exist yet, offsets outside a segment, and
+    the [segment], [charge] and [destroy-domain] events the machine
+    refuses (an empty, oversized or unalignable segment, a negative
+    charge, destroying the running domain). *)
 
 val replay_exn : Event.t list -> System_intf.packed -> Access.outcome list
 (** @raise Invalid_argument on a malformed trace. *)

@@ -49,8 +49,9 @@ val split : t -> t
     Unlike {!t} (whose state is a boxed [int64], so every step allocates),
     the state here is a single immediate integer the caller stores in a
     mutable field. Used by the replacement-policy Random victim draw so
-    eviction stays on the zero-allocation fast path; both cache backends
-    seed it identically, so ref and packed draw the same victims. *)
+    eviction stays on the zero-allocation fast path; the int-lane caches
+    and their test-side reference model seed it identically, so both draw
+    the same victims. *)
 module Split : sig
   val init : int -> int
   (** Initial state from a seed (the sign bit is masked off). Equal seeds

@@ -1,3 +1,5 @@
+open Sasos.Hw
+
 module type KEY = sig
   type t
 
@@ -44,8 +46,8 @@ module Make (K : KEY) : S with type key = K.t = struct
   type 'v t = {
     policy : Replacement.t;
     (* splitmix int state for Random victim draws: allocation-free and
-       per-instance, so equal seeds give equal victim sequences (the
-       packed backend steps an identical state — see Packed_cache) *)
+       per-instance, so equal seeds give equal victim sequences
+       (Packed_cache steps an identical state) *)
     mutable rand : int;
     table : 'v slot option array array; (* [set].[way] *)
     mutable tick : int;
@@ -60,7 +62,7 @@ module Make (K : KEY) : S with type key = K.t = struct
       invalid_arg "Assoc_cache.create: sets and ways must be >= 1";
     {
       policy;
-      rand = Sasos_util.Prng.Split.init seed;
+      rand = Sasos.Util.Prng.Split.init seed;
       table = Array.init sets (fun _ -> Array.make ways None);
       tick = 0;
       hits = 0;
@@ -115,8 +117,8 @@ module Make (K : KEY) : S with type key = K.t = struct
     (* precondition: row is full *)
     match t.policy with
     | Replacement.Random ->
-        t.rand <- Sasos_util.Prng.Split.next t.rand;
-        Sasos_util.Prng.Split.draw t.rand ~bound:(Array.length row)
+        t.rand <- Sasos.Util.Prng.Split.next t.rand;
+        Sasos.Util.Prng.Split.draw t.rand ~bound:(Array.length row)
     | Replacement.Lru | Replacement.Fifo ->
         let best = ref 0 and best_stamp = ref max_int in
         Array.iteri

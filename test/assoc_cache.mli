@@ -1,13 +1,15 @@
 (** Generic set-associative hardware cache model.
 
-    The reference model of the simulator's protection lookup structures:
-    the TLB, PLB and page-group cache run on {!Packed_cache}'s int lanes,
-    and its [Ref] backend routes the same calls through this functor so
-    the lockstep tests and [--backend ref] can compare the two. It models
-    a cache of [sets × ways] slots with a replacement policy, and counts
-    hits, misses, insertions, evictions and purge sweeps.
+    The reference model of the simulator's protection lookup structures.
+    The TLB, PLB and page-group cache run on [Packed_cache]'s int lanes;
+    [Ref_packed_cache] adapts this functor to the same API so the lockstep
+    tests can drive the two op by op. It models a cache of [sets × ways]
+    slots with a replacement policy, and counts hits, misses, insertions,
+    evictions and purge sweeps.
 
     A fully associative structure is [sets = 1]. *)
+
+open Sasos.Hw
 
 module type KEY = sig
   type t

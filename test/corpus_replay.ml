@@ -1,17 +1,14 @@
 (* Replay every corpus trace named on the command line against all
    machine models and compare access outcomes with the `# expect` header
    recorded when the counterexample was minimized (see lib/check/corpus).
-   Each trace is replayed four times — the cross product of the two
-   protection-structure backends (reference Assoc_cache vs packed
-   int-lane) and the two execution engines (scalar event interpreter vs
-   trace-compiled batch decode loop) and again across the multicore
+   Each trace is replayed on both execution engines (scalar event
+   interpreter vs trace-compiled batch decode loop) across the multicore
    matrix (1 core, plus 4 cores under each purge policy — the smp layer
    widens the expected outcomes to the mirror's permitted set, see
    Oracle.run_multi) — so the corpus gates every implementation pairing
    under `dune runtest`: once a divergence has been caught and
    minimized, it can never silently return on any of them. *)
 
-let backends = [ Sasos.Hw.Packed_cache.Ref; Sasos.Hw.Packed_cache.Packed ]
 let engines = [ Sasos.Engine.Scalar; Sasos.Engine.Batch ]
 
 let smp_configs =
@@ -20,7 +17,7 @@ let smp_configs =
 
 (* Replays fan out over the same worker pool the sharded simulation uses
    (Runner.map_pool, jobs = 2), so the corpus also gates the pooled
-   execution path.  The backend/engine globals stay in the outer
+   execution path.  The engine/smp globals stay in the outer
    sequential loops — they are set once before each pool batch and only
    read inside it — and results come back in file order, keeping the
    output byte-identical to a sequential run. *)
@@ -32,18 +29,14 @@ let () =
   end;
   let failures = ref 0 in
   List.iter
-    (fun backend ->
+    (fun engine ->
       List.iter
-        (fun engine ->
-          List.iter
-            (fun (cores, purge) ->
-          Sasos.Hw.Packed_cache.set_default_backend backend;
+        (fun (cores, purge) ->
           Sasos.Engine.set_default_engine engine;
           Sasos.Smp.set_cores cores;
           Sasos.Smp.set_purge purge;
           let tag =
-            Printf.sprintf "%s/%s/%dc-%s"
-              (Sasos.Hw.Packed_cache.backend_to_string backend)
+            Printf.sprintf "%s/%dc-%s"
               (Sasos.Engine.to_string engine)
               cores (Sasos.Smp.purge_to_string purge)
           in
@@ -63,11 +56,9 @@ let () =
                   Printf.printf "  FAIL %-18s %s: %s\n" tag
                     (Filename.basename path) msg)
             results)
-            smp_configs)
-        engines)
-    backends;
-  Printf.printf
-    "corpus: %d trace(s) x %d backends x %d engines x %d smp configs, %d failing\n"
-    (List.length files) (List.length backends) (List.length engines)
-    (List.length smp_configs) !failures;
+        smp_configs)
+    engines;
+  Printf.printf "corpus: %d trace(s) x %d engines x %d smp configs, %d failing\n"
+    (List.length files) (List.length engines) (List.length smp_configs)
+    !failures;
   if !failures > 0 then exit 1

@@ -63,12 +63,9 @@ let prop_engine_roundtrip =
 type rig = { plb : Hw.Plb.t; tlb : Hw.Tlb.t; pgc : Hw.Page_group_cache.t }
 
 let make_rig ?(pg_entries = 8) policy =
-  let backend = Hw.Packed_cache.Packed in
-  let plb = Hw.Plb.create ~backend ~policy ~sets:16 ~ways:4 () in
-  let tlb = Hw.Tlb.create ~backend ~policy ~sets:16 ~ways:4 () in
-  let pgc =
-    Hw.Page_group_cache.create ~backend ~policy ~entries:pg_entries ()
-  in
+  let plb = Hw.Plb.create ~policy ~sets:16 ~ways:4 () in
+  let tlb = Hw.Tlb.create ~policy ~sets:16 ~ways:4 () in
+  let pgc = Hw.Page_group_cache.create ~policy ~entries:pg_entries () in
   for i = 0 to 95 do
     Hw.Plb.install plb
       ~pd:(Pd.of_int ((i land 7) + 1))
@@ -83,10 +80,7 @@ let make_rig ?(pg_entries = 8) policy =
 let stats_of rig =
   List.map
     (fun cache ->
-      match Hw.Packed_cache.packed_state cache with
-      | Some p ->
-          Hw.Packed_cache.(p.p_hits, p.p_misses, p.p_evictions, p.p_length)
-      | None -> assert false)
+      Hw.Packed_cache.(hits cache, misses cache, evictions cache, length cache))
     [
       Hw.Plb.raw_cache rig.plb;
       Hw.Tlb.raw_cache rig.tlb;

@@ -663,35 +663,132 @@ let test_l2_disabled_by_default () =
   let m = System_ops.metrics sys in
   Alcotest.(check int) "no L2 traffic" 0 (m.Metrics.l2_hits + m.Metrics.l2_misses)
 
-(* Words allocated by one default build of [v] on [backend]. *)
-let build_words backend v =
-  Backends.with_backend backend (fun () ->
-      ignore (mk v);
-      (* a minor collection inside the window would count the words it
-         promotes a second time; an empty minor heap keeps it out *)
-      Gc.minor ();
-      let a0 = Gc.allocated_bytes () in
-      ignore (Sys.opaque_identity (mk v));
-      (Gc.allocated_bytes () -. a0) /. 8.0)
-
 (* Building a default machine must cost what a run uses, not what its
    configuration could hold: a word per frame for 65,536 frames, a record
    per line for 2,048 cache lines, or OS tables pre-sized for thousands of
    entries would each break the budget. *)
-let test_build_allocation backend v () =
-  let words = build_words backend v in
+let test_build_allocation v () =
+  ignore (mk v);
+  (* a minor collection inside the window would count the words it
+     promotes a second time; an empty minor heap keeps it out *)
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (mk v));
+  let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words <= 40,000" words)
     true (words <= 40_000.)
 
-(* The production backend must not make building dearer than the
-   reference model it replaced as the default. *)
-let test_packed_build_le_ref v () =
-  let packed = build_words Hw.Packed_cache.Packed v in
-  let reference = build_words Hw.Packed_cache.Ref v in
-  Alcotest.(check bool)
-    (Printf.sprintf "packed %.0f words <= ref %.0f words" packed reference)
-    true (packed <= reference)
+(* Whole-run goldens: a seeded 600-op conformance script on a small
+   machine (8 frames under 12 pages, 2x2 PLB, 2x4 TLB, 4-entry page-group
+   cache), so paging, evictions, purges and rights rewrites all run. The
+   recorded values are what both cache and OS-table implementations
+   produced when the boxed reference models still shipped beside the int
+   lanes. Only non-zero counters enter a digest, so a new counter that
+   stays zero here keeps it. *)
+let golden_config =
+  Config.v ~frames:8 ~plb_sets:2 ~plb_ways:2 ~tlb_sets:2 ~tlb_ways:4
+    ~pg_entries:4 ()
+
+let golden_script =
+  Check.Gen.script
+    (Util.Prng.create ~seed:7)
+    Check.Op.default_geom ~ops:600
+
+(* Total cycles, the digest of the non-zero counters and access outcomes,
+   and the counters themselves (for the failure report). *)
+let golden_run sys engine =
+  let r =
+    Check.Exec.run_packed ~engine Check.Op.default_geom golden_script sys
+  in
+  let fields =
+    List.filter (fun (_, n) -> n <> 0) (Metrics.fields (System_ops.metrics sys))
+  in
+  let text =
+    String.concat ";"
+      (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) fields
+      @ List.map (Format.asprintf "%a" Access.pp_outcome) r.Check.Exec.outcomes
+      )
+  in
+  (List.assoc "cycles" fields, Digest.to_hex (Digest.string text), fields)
+
+let check_golden what (cycles, digest) (c, d, fields) =
+  if (c, d) <> (cycles, digest) then
+    Alcotest.failf "%s: cycles %d digest %s, expected %d %s\n%s" what c d
+      cycles digest
+      (String.concat "\n"
+         (List.map (fun (k, n) -> Printf.sprintf "  %s %d" k n) fields))
+
+(* One core; both engines must reproduce the same run. *)
+let golden_uni =
+  [
+    ("plb", (3161352, "8a77f8724d97421298134c90c778632a"));
+    ("page-group", (2967351, "7b0ff192548eff75cceb8c5832884f58"));
+    ("pk", (3157955, "9dbf77645b7ea986b6ad02193158c767"));
+    ("conv-asid", (3161973, "e8a158dd35c05a2356fca4d6146ab3c5"));
+    ("conv-flush", (3164364, "048e4d910573c855a5f499c772abefc3"));
+  ]
+
+let test_golden_uni label v () =
+  List.iter
+    (fun engine ->
+      check_golden
+        (Engine.to_string engine ^ " engine")
+        (List.assoc label golden_uni)
+        (golden_run (Machines.make v golden_config) engine))
+    [ Engine.Scalar; Engine.Batch ]
+
+(* Four cores, each holding its own caches, under every purge policy (in
+   [Smp.all_purges] order): the seeded interleaving, the shootdowns and
+   the replicas' purge work, on both engines. *)
+let golden_smp =
+  [
+    ( "plb",
+      [
+        (1011398, "c739806b5aaa5c7dcd51b261c82b1a63");
+        (979968, "bf992175c0cdfefcc27e35f9cacd882e");
+        (974198, "9fbad2db5e61855c196f4e21cdb48904");
+      ] );
+    ( "page-group",
+      [
+        (1030577, "5980825f08c52070c1aa8077daee0618");
+        (999147, "af837e057c670f6c6cde1edb6f0785b5");
+        (993377, "bca5b35cbfb51077987688b58d6c2b59");
+      ] );
+    ( "pk",
+      [
+        (1004966, "3261d0f638d3413f265aae2786487554");
+        (973536, "1fdb3e99a2463520dd2c3cc670cf8bcd");
+        (967766, "14b6b90a7cfea828f917694a8f2f581d");
+      ] );
+    ( "conv-asid",
+      [
+        (1017629, "7a09cb15f97ab4aaa8c0a34169b8bec9");
+        (986199, "c20e9965ed9fa18bc1c8ce0d886ac5cc");
+        (980429, "9f1025b1c91f82240409882b1f7c2356");
+      ] );
+    ( "conv-flush",
+      [
+        (1017685, "634490c09561fdf35eba0dadfc35cf2d");
+        (986255, "b24da690bbff40a66de30c76d2b79678");
+        (980485, "b89b94634e391159d1d9692f048488f7");
+      ] );
+  ]
+
+let test_golden_smp label v () =
+  List.iter2
+    (fun purge expected ->
+      List.iter
+        (fun engine ->
+          check_golden
+            (Printf.sprintf "%s purge, %s engine"
+               (Smp.purge_to_string purge) (Engine.to_string engine))
+            expected
+            (golden_run
+               (Machines.make_smp v ~cores:4 ~purge golden_config)
+               engine))
+        [ Engine.Scalar; Engine.Batch ])
+    Smp.all_purges (List.assoc label golden_smp)
 
 let suite =
   for_all_machines "basic protection" test_basic_protection
@@ -708,21 +805,23 @@ let suite =
       test_destroy_running_domain_rejected
   @ for_all_machines "switch metrics" test_switch_metrics
   @ for_all_machines "access metrics" test_access_metrics
-  @ List.concat_map
+  @ List.map
       (fun (label, v) ->
-        [
-          Alcotest.test_case
-            (Printf.sprintf "default build allocates <= 40K words [%s]" label)
-            `Quick
-            (test_build_allocation Hw.Packed_cache.Packed v);
-          Alcotest.test_case
-            (Printf.sprintf "ref build allocates <= 40K words [%s]" label)
-            `Quick
-            (test_build_allocation Hw.Packed_cache.Ref v);
-          Alcotest.test_case
-            (Printf.sprintf "packed build allocates <= ref build [%s]" label)
-            `Quick (test_packed_build_le_ref v);
-        ])
+        Alcotest.test_case
+          (Printf.sprintf "default build allocates <= 40K words [%s]" label)
+          `Quick (test_build_allocation v))
+      variants
+  @ List.map
+      (fun (label, v) ->
+        Alcotest.test_case
+          (Printf.sprintf "golden whole run [%s]" label)
+          `Quick (test_golden_uni label v))
+      variants
+  @ List.map
+      (fun (label, v) ->
+        Alcotest.test_case
+          (Printf.sprintf "golden multicore run [%s]" label)
+          `Quick (test_golden_smp label v))
       variants
   @ [
       Alcotest.test_case "plb: switch = one register" `Quick

@@ -115,30 +115,25 @@ let test_frame_create_is_lazy () =
   Alcotest.(check bool) "last frame free" true
     (Frame_allocator.is_free f (frames - 1))
 
-let test_ipt packed () =
-  let t = Inverted_page_table.create ~packed () in
+let test_ipt () =
+  let t = Inverted_page_table.create () in
   Inverted_page_table.map t ~vpn:10 ~pfn:3;
   Alcotest.(check bool) "mapped" true (Inverted_page_table.is_mapped t ~vpn:10);
   (* single translation per page: re-mapping is a homonym, forbidden *)
   Alcotest.check_raises "remap"
     (Invalid_argument "Inverted_page_table.map: page already mapped")
     (fun () -> Inverted_page_table.map t ~vpn:10 ~pfn:4);
-  (match Inverted_page_table.find t ~vpn:10 with
-  | Some m ->
-      Alcotest.(check int) "pfn" 3 m.Inverted_page_table.pfn;
-      (* the reference backend hands out its live record; the packed one a
-         snapshot, so it marks the page through [set_dirty] *)
-      if packed then Inverted_page_table.set_dirty t ~vpn:10
-      else m.Inverted_page_table.dirty <- true
-  | None -> Alcotest.fail "expected mapping");
-  let m = Inverted_page_table.unmap t ~vpn:10 in
-  Alcotest.(check bool) "dirty preserved" true m.Inverted_page_table.dirty;
+  let bits = Inverted_page_table.find_bits t ~vpn:10 in
+  Alcotest.(check int) "pfn" 3 (Inverted_page_table.bits_pfn bits);
+  Alcotest.(check bool) "clean" false (Inverted_page_table.bits_dirty bits);
+  Inverted_page_table.set_dirty t ~vpn:10;
+  let bits = Inverted_page_table.unmap_bits t ~vpn:10 in
+  Alcotest.(check bool) "dirty preserved" true
+    (Inverted_page_table.bits_dirty bits);
+  Alcotest.(check int) "pfn preserved" 3 (Inverted_page_table.bits_pfn bits);
   Alcotest.(check bool) "unmapped" false (Inverted_page_table.is_mapped t ~vpn:10);
-  Alcotest.(check bool) "unmap absent raises" true
-    (try
-       ignore (Inverted_page_table.unmap t ~vpn:10);
-       false
-     with Not_found -> true)
+  Alcotest.(check int) "unmap absent" (-1)
+    (Inverted_page_table.unmap_bits t ~vpn:10)
 
 let test_backing_store () =
   let b = Backing_store.create () in
@@ -175,8 +170,7 @@ let suite =
     Qprop.to_alcotest prop_frame_allocator_lockstep;
     Alcotest.test_case "create builds no per-frame stack" `Quick
       test_frame_create_is_lazy;
-    Alcotest.test_case "inverted page table" `Quick (test_ipt true);
-    Alcotest.test_case "inverted page table [ref]" `Quick (test_ipt false);
+    Alcotest.test_case "inverted page table" `Quick test_ipt;
     Alcotest.test_case "backing store" `Quick test_backing_store;
     Alcotest.test_case "compressor" `Quick test_compressor;
   ]

@@ -140,16 +140,5 @@ let cases =
     ("kernel entry cost", test_kernel_entry_cost);
   ]
 
-(* Every case runs on the production backend under its own name, and
-   again on the reference backend. *)
 let suite =
-  List.map
-    (fun (name, f) ->
-      Alcotest.test_case name `Quick (fun () ->
-          Backends.with_backend Hw.Packed_cache.Packed f))
-    cases
-  @ List.map
-      (fun (name, f) ->
-        Alcotest.test_case (name ^ " [ref]") `Quick (fun () ->
-            Backends.with_backend Hw.Packed_cache.Ref f))
-      cases
+  List.map (fun (name, f) -> Alcotest.test_case name `Quick f) cases

@@ -1,16 +1,17 @@
-(* Lockstep of the packed (flat int-lane) OS-table backends against the
-   reference record/Hashtbl implementations, under the kind of
-   attach/detach/revoke churn the sharded simulation applies, plus the
-   integer-geometry boundary regressions from the scale work (49-bit
-   vpns, tens of millions of frames). *)
+(* Lockstep of the flat int-lane OS tables against the Hashtbl/Map models
+   in Ref_os_tables, under the kind of attach/detach/revoke churn the
+   sharded simulation applies, plus the integer-geometry boundary
+   regressions from the scale work (49-bit vpns, tens of millions of
+   frames). *)
 
 open Sasos
 open Sasos.Os
 open Sasos.Mem
+module Model = Ref_os_tables
 
 let geom = Geometry.default
 
-(* --- inverted page table: packed Flat lanes vs reference Hashtbl ----- *)
+(* --- inverted page table: Flat lanes vs Hashtbl model ---------------- *)
 
 (* vpn universe mixing small pages with the top of the 49-bit vpn space *)
 let vpns =
@@ -19,13 +20,13 @@ let vpns =
 let ipt_states ref_t packed_t ctx =
   Alcotest.(check int)
     (ctx ^ ": mapped_count")
-    (Inverted_page_table.mapped_count ref_t)
+    (Model.Ipt.mapped_count ref_t)
     (Inverted_page_table.mapped_count packed_t);
   Array.iter
     (fun vpn ->
       Alcotest.(check int)
         (Printf.sprintf "%s: find_bits %d" ctx vpn)
-        (Inverted_page_table.find_bits ref_t ~vpn)
+        (Model.Ipt.find_bits ref_t ~vpn)
         (Inverted_page_table.find_bits packed_t ~vpn))
     vpns
 
@@ -34,27 +35,27 @@ let apply_ipt ref_t packed_t op =
   let pfn = op lsr 6 land 0xFFFF in
   match op land 3 with
   | 0 ->
-      if not (Inverted_page_table.is_mapped ref_t ~vpn) then begin
-        Inverted_page_table.map ref_t ~vpn ~pfn;
+      if not (Model.Ipt.is_mapped ref_t ~vpn) then begin
+        Model.Ipt.map ref_t ~vpn ~pfn;
         Inverted_page_table.map packed_t ~vpn ~pfn
       end
   | 1 ->
       Alcotest.(check int) "unmap_bits"
-        (Inverted_page_table.unmap_bits ref_t ~vpn)
+        (Model.Ipt.unmap_bits ref_t ~vpn)
         (Inverted_page_table.unmap_bits packed_t ~vpn)
   | 2 ->
-      Inverted_page_table.set_dirty ref_t ~vpn;
+      Model.Ipt.set_dirty ref_t ~vpn;
       Inverted_page_table.set_dirty packed_t ~vpn
   | _ ->
-      Inverted_page_table.set_referenced ref_t ~vpn;
+      Model.Ipt.set_referenced ref_t ~vpn;
       Inverted_page_table.set_referenced packed_t ~vpn
 
 let prop_ipt_lockstep =
   QCheck.Test.make ~count:120 ~name:"inverted page table packed lockstep"
     QCheck.(list_of_size Gen.(int_range 0 300) (int_bound ((1 lsl 22) - 1)))
     (fun ops ->
-      let ref_t = Inverted_page_table.create ~packed:false () in
-      let packed_t = Inverted_page_table.create ~packed:true () in
+      let ref_t = Model.Ipt.create () in
+      let packed_t = Inverted_page_table.create () in
       List.iter (apply_ipt ref_t packed_t) ops;
       ipt_states ref_t packed_t "after ops";
       true)
@@ -89,18 +90,18 @@ let test_backing_store_model () =
         (Backing_store.resident bs ~vpn))
     vpns
 
-(* --- segment table: packed sorted lanes vs reference map ------------- *)
+(* --- segment table: sorted lanes vs Map model ------------------------- *)
 
 let seg_states ref_t packed_t probes ctx =
   Alcotest.(check int)
     (ctx ^ ": live_count")
-    (Segment_table.live_count ref_t)
+    (Model.Segments.live_count ref_t)
     (Segment_table.live_count packed_t);
   List.iter
     (fun va ->
       Alcotest.(check int)
         (Printf.sprintf "%s: find_id_by_va 0x%x" ctx va)
-        (Segment_table.find_id_by_va ref_t va)
+        (Model.Segments.find_id_by_va ref_t va)
         (Segment_table.find_id_by_va packed_t va))
     probes
 
@@ -108,15 +109,15 @@ let prop_segment_lockstep =
   QCheck.Test.make ~count:60 ~name:"segment table packed lockstep"
     QCheck.(list_of_size Gen.(int_range 1 40) (int_bound 1023))
     (fun ops ->
-      let ref_t = Segment_table.create ~packed:false geom in
-      let packed_t = Segment_table.create ~packed:true geom in
+      let ref_t = Model.Segments.create geom in
+      let packed_t = Segment_table.create geom in
       let segs = ref [] in
       let probes = ref [ 0; 1; max_int / 2 ] in
       List.iter
         (fun op ->
           let pages = 1 + (op land 7) in
           if op land 8 = 0 || !segs = [] then begin
-            let a = Segment_table.allocate ref_t ~pages () in
+            let a = Model.Segments.allocate ref_t ~pages in
             let b = Segment_table.allocate packed_t ~pages () in
             Alcotest.(check int)
               "same id"
@@ -133,55 +134,55 @@ let prop_segment_lockstep =
             let n = List.length !segs in
             let victim = List.nth !segs (op lsr 4 mod n) in
             segs := List.filter (fun s -> s != victim) !segs;
-            ignore (Segment_table.destroy ref_t victim.Segment.id);
+            Model.Segments.destroy ref_t victim.Segment.id;
             ignore (Segment_table.destroy packed_t victim.Segment.id)
           end)
         ops;
       seg_states ref_t packed_t !probes "after ops";
       true)
 
-(* --- capability registry: packed check lanes vs reference ------------ *)
+(* --- capability registry: check lanes vs Hashtbl model --------------- *)
 
 let test_cap_registry_lockstep () =
   let segs = Segment_table.create geom in
-  let ref_r = Cap_registry.create ~packed:false ~seed:97 () in
-  let packed_r = Cap_registry.create ~packed:true ~seed:97 () in
+  let ref_r = Model.Caps.create ~seed:97 in
+  let packed_r = Cap_registry.create ~seed:97 () in
   let caps = ref [] in
   for round = 0 to 400 do
     match round mod 4 with
     | 0 ->
         let seg = Segment_table.allocate segs ~pages:2 () in
-        let a = Cap_registry.mint ref_r seg Rights.rw in
+        let a = Model.Caps.mint ref_r seg Rights.rw in
         let b = Cap_registry.mint packed_r seg Rights.rw in
         Alcotest.(check bool) "same capability" true (a = b);
         caps := a :: !caps
     | 1 when !caps <> [] ->
         let c = List.nth !caps (round lsr 2 mod List.length !caps) in
         Alcotest.(check bool) "validate agrees"
-          (Cap_registry.validate ref_r c)
+          (Model.Caps.validate ref_r c)
           (Cap_registry.validate packed_r c)
     | 2 when !caps <> [] ->
         let c = List.nth !caps (round lsr 2 mod List.length !caps) in
-        let a = Cap_registry.restrict ref_r c Rights.r in
+        let a = Model.Caps.restrict ref_r c Rights.r in
         let b = Cap_registry.restrict packed_r c Rights.r in
         Alcotest.(check bool) "restrict agrees" true (a = b);
         (match a with Ok c' -> caps := c' :: !caps | Error _ -> ())
     | 3 when !caps <> [] ->
         let c = List.nth !caps (round lsr 2 mod List.length !caps) in
-        Cap_registry.revoke ref_r c;
+        Model.Caps.revoke ref_r c;
         Cap_registry.revoke packed_r c
     | _ -> ()
   done;
   List.iter
     (fun c ->
       Alcotest.(check bool) "final validate agrees"
-        (Cap_registry.validate ref_r c)
+        (Model.Caps.validate ref_r c)
         (Cap_registry.validate packed_r c))
     !caps
 
-(* --- Os_core protection store: Sflat vs Sref ------------------------- *)
+(* --- Os_core protection store: flat lanes vs Hashtbl model ----------- *)
 
-(* One Os_core per backend, driven by the same random sequence of
+(* One Os_core and one store model, driven by the same random sequence of
    protection-truth operations over a few segments. After every op the two
    must answer every query identically, for every created domain (live or
    destroyed), every segment and a probe set that includes each segment's
@@ -221,13 +222,11 @@ let store_op_gen =
     ]
 
 let store_lockstep config ops =
-  let os_on backend =
-    Backends.with_backend backend (fun () -> Os_core.create config)
-  in
-  let a = os_on Hw.Packed_cache.Ref in
-  let b = os_on Hw.Packed_cache.Packed in
+  let module S = Model.Store in
+  let a = S.create config in
+  let b = Os_core.create config in
   let alloc pages =
-    let sa = Segment_table.allocate a.Os_core.segments ~pages () in
+    let sa = Model.Segments.allocate a.S.segments ~pages in
     let sb = Segment_table.allocate b.Os_core.segments ~pages () in
     assert (sa.Segment.base = sb.Segment.base);
     sa
@@ -248,8 +247,9 @@ let store_lockstep config ops =
   let rights_list l =
     List.map (fun (p, r) -> (Pd.to_int p, Rights.to_int r)) l
   in
+  let model_rights_list l = List.map (fun (p, r) -> (p, Rights.to_int r)) l in
   let same what x y =
-    if x <> y then QCheck2.Test.fail_reportf "%s: ref and packed differ" what
+    if x <> y then QCheck2.Test.fail_reportf "%s: model and os_core differ" what
   in
   let compare_all step =
     let ctx q = Printf.sprintf "after op %d, %s" step q in
@@ -257,38 +257,37 @@ let store_lockstep config ops =
       (fun va ->
         same
           (ctx (Printf.sprintf "page_has_override 0x%x" va))
-          (Os_core.page_has_override a va)
+          (S.page_has_override a va)
           (Os_core.page_has_override b va);
         same
           (ctx (Printf.sprintf "domains_with_rights 0x%x" va))
-          (rights_list (Os_core.domains_with_rights a va))
+          (model_rights_list (S.domains_with_rights a va))
           (rights_list (Os_core.domains_with_rights b va)))
       probes;
     Array.iter
       (fun p ->
+        let pi = Pd.to_int p in
         List.iter
           (fun va ->
             same
-              (ctx (Printf.sprintf "rights pd%d 0x%x" (Pd.to_int p) va))
-              (Rights.to_int (Os_core.rights a p va))
+              (ctx (Printf.sprintf "rights pd%d 0x%x" pi va))
+              (Rights.to_int (S.rights a pi va))
               (Rights.to_int (Os_core.rights b p va)))
           probes;
         Array.iter
           (fun seg ->
             let q what =
-              ctx
-                (Printf.sprintf "%s pd%d seg 0x%x" what (Pd.to_int p)
-                   seg.Segment.base)
+              ctx (Printf.sprintf "%s pd%d seg 0x%x" what pi seg.Segment.base)
             in
             same (q "attachment")
-              (Option.map Rights.to_int (Os_core.attachment a p seg))
+              (Option.map Rights.to_int (S.attachment a pi seg))
               (Option.map Rights.to_int (Os_core.attachment b p seg));
             same (q "has_overrides")
-              (Os_core.has_overrides a p seg)
+              (S.has_overrides a pi seg)
               (Os_core.has_overrides b p seg);
             same
               (q "override_units_in_segment")
-              (Os_core.override_units_in_segment a p seg)
+              (S.override_units_in_segment a pi seg)
               (Os_core.override_units_in_segment b p seg))
           segs)
       !pds
@@ -297,23 +296,23 @@ let store_lockstep config ops =
     (* every op but New_domain needs a domain to act on *)
     match if Array.length !pds = 0 then New_domain else op with
     | New_domain ->
-        let pa = Os_core.new_domain a and pb = Os_core.new_domain b in
-        same "new_domain" (Pd.to_int pa) (Pd.to_int pb);
-        pds := Array.append !pds [| pa |]
+        let pa = S.new_domain a and pb = Os_core.new_domain b in
+        same "new_domain" pa (Pd.to_int pb);
+        pds := Array.append !pds [| pb |]
     | Destroy_domain d ->
-        Os_core.destroy_domain a (pd d);
+        S.destroy_domain a (Pd.to_int (pd d));
         Os_core.destroy_domain b (pd d)
     | Set_attachment (d, s, r) ->
-        Os_core.set_attachment a (pd d) segs.(s) (Rights.of_int r);
+        S.set_attachment a (Pd.to_int (pd d)) segs.(s) (Rights.of_int r);
         Os_core.set_attachment b (pd d) segs.(s) (Rights.of_int r)
     | Remove_attachment (d, s) ->
-        Os_core.remove_attachment a (pd d) segs.(s);
+        S.remove_attachment a (Pd.to_int (pd d)) segs.(s);
         Os_core.remove_attachment b (pd d) segs.(s)
     | Set_override (d, s, u, r) ->
-        Os_core.set_override a (pd d) (unit_va s u) (Rights.of_int r);
+        S.set_override a (Pd.to_int (pd d)) (unit_va s u) (Rights.of_int r);
         Os_core.set_override b (pd d) (unit_va s u) (Rights.of_int r)
     | Clear_override (d, s, u) ->
-        Os_core.clear_override a (pd d) (unit_va s u);
+        S.clear_override a (Pd.to_int (pd d)) (unit_va s u);
         Os_core.clear_override b (pd d) (unit_va s u)
   in
   List.iteri
@@ -346,7 +345,7 @@ let test_frames_exceed_pa_space () =
   ignore (Config.v ~geom:small ~frames:(1 lsl 12) ())
 
 let test_ipt_49_bit_vpn () =
-  let t = Inverted_page_table.create ~packed:true () in
+  let t = Inverted_page_table.create () in
   let vpn = (1 lsl 49) - 1 in
   let near = vpn - (1 lsl 30) (* same low-30-bit lane, different high bits *) in
   Inverted_page_table.map t ~vpn ~pfn:123;

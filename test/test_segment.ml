@@ -51,6 +51,66 @@ let test_alignment () =
        false
      with Invalid_argument _ -> true)
 
+(* Regression: [pages lsl page_shift] wrapped negative for 2^50 pages of
+   4 KB, slipped under the address-limit test and produced a segment with
+   a negative limit, then a next base past 2^62. *)
+let test_huge_segment_rejected () =
+  let t = Segment_table.create geom in
+  let _ = Segment_table.allocate t ~pages:1 () in
+  List.iter
+    (fun pages ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d pages" pages)
+        (Invalid_argument "Segment_table.allocate: pages exceed the address space")
+        (fun () -> ignore (Segment_table.allocate t ~pages ())))
+    [ 1 lsl 50; 1 lsl 49; max_int ];
+  Alcotest.(check int) "nothing added" 1 (Segment_table.live_count t);
+  let s = Segment_table.allocate t ~pages:2 () in
+  Alcotest.(check bool) "next segment sane" true
+    (s.Segment.base > 0 && Segment.limit s > s.Segment.base);
+  Alcotest.(check bool) "found again" true
+    (Segment_table.find_by_va t s.Segment.base = Some s)
+
+(* Regression: [1 lsl s] is unspecified from 63 up (on 64-bit hosts
+   [1 lsl 64] reads 1), so an oversized alignment was silently dropped.
+   2^60 is the largest alignment with a base below the 2^61 limit. *)
+let test_oversized_alignment_rejected () =
+  let t = Segment_table.create geom in
+  List.iter
+    (fun s ->
+      Alcotest.check_raises
+        (Printf.sprintf "align_shift %d" s)
+        (Invalid_argument "Segment_table.allocate: align_shift >= 61")
+        (fun () -> ignore (Segment_table.allocate t ~align_shift:s ~pages:1 ())))
+    [ 61; 62; 63; 64; 70 ];
+  let a = Segment_table.allocate t ~align_shift:60 ~pages:1 () in
+  Alcotest.(check int) "2^60 aligned" 0 (a.Segment.base mod (1 lsl 60))
+
+(* The overflow guard must not cost a segment that fits: one page more
+   than the space left below the 2^61 address limit is refused, the
+   largest segment that fits is placed and found at its last byte, and
+   afterwards not even one page fits. *)
+let test_largest_segment_accepted () =
+  let t = Segment_table.create geom in
+  let page = Geometry.page_size geom in
+  let first = Segment_table.allocate t ~pages:1 () in
+  (* the next base follows [first] and its guard page *)
+  let base = Segment.limit first + page in
+  let pages = ((1 lsl 61) - base) / page - 1 in
+  Alcotest.check_raises "one page too many"
+    (Invalid_argument "Segment_table.allocate: address space exhausted")
+    (fun () -> ignore (Segment_table.allocate t ~pages:(pages + 1) ()));
+  let s = Segment_table.allocate t ~pages () in
+  Alcotest.(check int) "placed at the next base" base s.Segment.base;
+  Alcotest.(check int) "ends one page below the limit"
+    ((1 lsl 61) - page)
+    (Segment.limit s);
+  Alcotest.(check bool) "last byte found" true
+    (Segment_table.find_by_va t (Segment.limit s - 1) = Some s);
+  Alcotest.check_raises "space used up"
+    (Invalid_argument "Segment_table.allocate: pages exceed the address space")
+    (fun () -> ignore (Segment_table.allocate t ~pages:1 ()))
+
 let test_segment_helpers () =
   let t = Segment_table.create geom in
   let s = Segment_table.allocate t ~name:"heap" ~pages:4 () in
@@ -90,6 +150,12 @@ let suite =
     Alcotest.test_case "find_by_va" `Quick test_find_by_va;
     Alcotest.test_case "destroy retires addresses" `Quick test_destroy_no_reuse;
     Alcotest.test_case "alignment" `Quick test_alignment;
+    Alcotest.test_case "huge segment rejected" `Quick
+      test_huge_segment_rejected;
+    Alcotest.test_case "oversized alignment rejected" `Quick
+      test_oversized_alignment_rejected;
+    Alcotest.test_case "largest fitting segment accepted" `Quick
+      test_largest_segment_accepted;
     Alcotest.test_case "segment helpers" `Quick test_segment_helpers;
     Qprop.to_alcotest prop_disjoint;
   ]

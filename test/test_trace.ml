@@ -125,6 +125,44 @@ let test_player_offset_bounds () =
   | Error { at = 2; _ } -> ()
   | Ok _ | Error _ -> Alcotest.fail "offset out of segment must fail"
 
+(* Event lines the parser accepts but the machine refuses: each must come
+   back from the player as an error at its own index, naming the refusal,
+   on every machine, instead of escaping as an exception. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_player_machine_refusal (line, why) () =
+  match Store.of_string ("domain\nswitch 0\n" ^ line ^ "\n") with
+  | Error msg -> Alcotest.failf "%S does not parse: %s" line msg
+  | Ok trace ->
+      List.iter
+        (fun (name, v) ->
+          match Player.replay trace (Machines.make v Config.default) with
+          | Error { at = 2; reason; _ } ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S names %S" name line why)
+                true (contains reason why)
+          | Error { at; reason; _ } ->
+              Alcotest.failf "%s: %S failed at event %d: %s" name line at
+                reason
+          | Ok _ -> Alcotest.failf "%s: %S replayed" name line)
+        Machines.all
+
+let machine_refusals =
+  [
+    ("segment 0 - -", "pages <= 0");
+    ("segment 4 62 -", "align_shift >= 61");
+    (* 2^50 pages of 4 KB: the size wrapped negative before the
+       Segment_table guard *)
+    ("segment 1125899906842624 - -", "pages exceed the address space");
+    ("charge -5 0 0", "negative amount");
+    ("destroy-domain 0", "domain is running");
+  ]
+
 let test_charge_recorded_and_replayed () =
   (* a workload-level charge goes through the recorder into the trace, and
      a replay applies the identical amounts to the replayed machine *)
@@ -304,6 +342,15 @@ let suite =
     Alcotest.test_case "player rejects bad trace" `Quick
       test_player_rejects_bad_trace;
     Alcotest.test_case "player offset bounds" `Quick test_player_offset_bounds;
+  ]
+  @ List.map
+      (fun ((line, _) as refusal) ->
+        Alcotest.test_case
+          (Printf.sprintf "player refuses [%s]" line)
+          `Quick
+          (test_player_machine_refusal refusal))
+      machine_refusals
+  @ [
     Alcotest.test_case "recorder default create" `Quick
       test_recorder_default_create;
     Alcotest.test_case "charge recorded and replayed" `Quick
