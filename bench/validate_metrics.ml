@@ -119,9 +119,9 @@ let divergence_diag a b (lineno, exp, act) =
   Printf.sprintf "first diverging line is %d:\n  expected (%s): %s\n  actual   (%s): %s"
     lineno a (show exp) b (show act)
 
-(* Parity: the rendered report text must be byte-identical to the
-   committed golden copy and between the scalar and batch engines. On a
-   break, point at the first diverging line. *)
+(* Parity: the rendered text must be byte-identical to the committed
+   golden copy, and across job counts. On a break, point at the first
+   diverging line. *)
 let validate_same a b =
   let sa = read_all a and sb = read_all b in
   if sa <> sb then begin

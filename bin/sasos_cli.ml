@@ -73,32 +73,6 @@ let machine_conv =
   in
   Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (Sasos.Machines.to_string v))
 
-let engine_conv =
-  let parse s =
-    match Sasos.Engine.of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown engine %S (scalar|batch)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt e -> Format.pp_print_string fmt (Sasos.Engine.to_string e) )
-
-(* shared by report/check/profile: applied before any machine or worker
-   domain exists, so worker domains spawned afterwards observe it *)
-let engine_term =
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"scalar|batch"
-        ~doc:
-          "Execution engine: $(b,scalar) (interpret operations directly, \
-           the default) or $(b,batch) (compile workloads/scripts into a \
-           flat int-array op stream and run the decode loop). Output must \
-           be identical; the lockstep properties and corpus replay drive \
-           both.")
-
-let set_engine engine = Option.iter Sasos.Engine.set_default_engine engine
-
 let purge_conv =
   let parse s =
     match Sasos.Smp.purge_of_string s with
@@ -108,8 +82,8 @@ let purge_conv =
   Arg.conv
     (parse, fun fmt p -> Format.pp_print_string fmt (Sasos.Smp.purge_to_string p))
 
-(* shared by report/check/profile/scale: the multicore layer. Like
-   --engine, applied before any machine or worker domain exists. *)
+(* shared by report/check/profile/scale: the multicore layer, applied
+   before any machine or worker domain exists. *)
 let smp_term =
   let cores =
     Arg.(
@@ -491,9 +465,8 @@ let profile_cmd =
             "Write a Chrome trace_event JSON file to $(docv) (open in \
              Perfetto or chrome://tracing).")
   in
-  let run engine smp experiments wname shards machine jobs sample ring
-      out json chrome config =
-    set_engine engine;
+  let run smp experiments wname shards machine jobs sample ring out json
+      chrome config =
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
     | None ->
@@ -582,9 +555,8 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       ret
-        (const run $ engine_term $ smp_term $ experiments
-        $ wname $ shards $ machine $ jobs $ sample $ ring $ out $ json
-        $ chrome $ config_term))
+        (const run $ smp_term $ experiments $ wname $ shards $ machine
+        $ jobs $ sample $ ring $ out $ json $ chrome $ config_term))
 
 let report_cmd =
   let doc =
@@ -630,8 +602,7 @@ let report_cmd =
              the merged cycle-attribution table, and embed a per-experiment \
              profile block in the --json metrics.")
   in
-  let run engine smp out jobs only json profile =
-    set_engine engine;
+  let run smp out jobs only json profile =
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
     | None ->
@@ -683,8 +654,7 @@ let report_cmd =
     (Cmd.info "report" ~doc)
     Term.(
       ret
-        (const run $ engine_term $ smp_term $ out $ jobs
-        $ only $ json $ profile))
+        (const run $ smp_term $ out $ jobs $ only $ json $ profile))
 
 let check_cmd =
   let doc =
@@ -760,10 +730,9 @@ let check_cmd =
                 file in $(docv) on all machines and compare against the \
                 recorded outcomes.")
   in
-  let run engine smp ops scripts seed jobs machines domains segments
-      pages mutate save corpus obs_flags =
+  let run smp ops scripts seed jobs machines domains segments pages
+      mutate save corpus obs_flags =
     let profile, obs_json, chrome = obs_flags in
-    set_engine engine;
     match apply_smp smp with
     | Some msg -> `Error (false, msg)
     | None ->
@@ -870,9 +839,9 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
       ret
-        (const run $ engine_term $ smp_term $ ops $ scripts
-        $ seed $ jobs $ machines $ domains $ segments $ pages $ mutate
-        $ save $ corpus $ obs_flags_term))
+        (const run $ smp_term $ ops $ scripts $ seed $ jobs $ machines
+        $ domains $ segments $ pages $ mutate $ save $ corpus
+        $ obs_flags_term))
 
 (* one term builder behind both `sasos scale` and `sasos top` (the
    latter is scale with the live dashboard always on) *)

@@ -107,9 +107,7 @@ let replay_events events ~expected =
   | Ok want ->
   let check (name, variant) =
     let sys = Sys_select.make variant Sasos_os.Config.default in
-    (* dispatches on the process-global engine: `sasos check --engine
-       batch` replays the corpus through the compiled op stream *)
-    match Sasos_engine.Engine.replay events sys with
+    match Player.replay events sys with
     | Error { Player.at; event; reason } ->
         Some
           (Printf.sprintf "%s: replay failed at event %d (%s): %s" name at

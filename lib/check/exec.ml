@@ -1,59 +1,9 @@
 open Sasos_addr
 open Sasos_os
-module Engine = Sasos_engine.Engine
 
 type result = { outcomes : Access.outcome list; over_allow : bool }
 
-(* The batch path lowers the kept script through Op.to_events (whose
-   prologue creates the same domains/segments in the same order as the
-   scalar path below) and hands the compiled program to the engine.
-   Liveness for the probe set is tracked over the FULL script — exactly
-   like the scalar [else] branch — so a mutation-dropped destroy leaves
-   the pair probed on neither engine. *)
-let run_batch ~keep (geom : Op.geom) script sys =
-  let page_shift =
-    (System_ops.os sys).Os_core.geom.Sasos_addr.Geometry.page_shift
-  in
-  let events = Op.to_events ~page_shift geom (List.filter keep script) in
-  match Engine.exec (Engine.compile events) sys with
-  | Error { Sasos_trace.Player.at; reason; _ } ->
-      (* unreachable for scripts within the geometry: Op.to_events only
-         emits indices its own prologue created *)
-      invalid_arg
-        (Printf.sprintf "Exec.run_batch: event %d: %s" at reason)
-  | Ok run ->
-      let dom_alive = Array.make geom.Op.domains true in
-      let seg_alive = Array.make geom.Op.segments true in
-      List.iter
-        (fun op ->
-          match (op : Op.t) with
-          | Op.Destroy_domain { d } -> dom_alive.(d) <- false
-          | Op.Destroy_segment { s } -> seg_alive.(s) <- false
-          | _ -> ())
-        script;
-      let page_va p =
-        Segment.page_va
-          (Option.get run.Engine.segments.(Op.seg_of_page geom p))
-          (Op.page_in_seg geom p)
-      in
-      let probes =
-        List.concat
-          (List.init geom.Op.domains (fun d ->
-               if not dom_alive.(d) then []
-               else
-                 List.filter_map
-                   (fun p ->
-                     if seg_alive.(Op.seg_of_page geom p) then
-                       Some (Option.get run.Engine.domains.(d), page_va p)
-                     else None)
-                   (List.init (Op.pages geom) Fun.id)))
-      in
-      {
-        outcomes = run.Engine.outcomes;
-        over_allow = System_ops.hw_over_allows sys probes;
-      }
-
-let run_scalar ~keep (geom : Op.geom) script sys =
+let run_packed ?(keep = fun _ -> true) (geom : Op.geom) script sys =
   let domains =
     Array.init geom.Op.domains (fun _ -> System_ops.new_domain sys)
   in
@@ -115,13 +65,6 @@ let run_scalar ~keep (geom : Op.geom) script sys =
   in
   { outcomes = List.rev !outcomes; over_allow = System_ops.hw_over_allows sys probes }
 
-let run_packed ?(keep = fun _ -> true) ?engine (geom : Op.geom) script sys =
-  match
-    match engine with Some e -> e | None -> Engine.default_engine ()
-  with
-  | Engine.Batch -> run_batch ~keep geom script sys
-  | Engine.Scalar -> run_scalar ~keep geom script sys
-
-let run ?keep ?engine geom script variant =
-  run_packed ?keep ?engine geom script
+let run ?keep geom script variant =
+  run_packed ?keep geom script
     (Sasos_machine.Sys_select.make variant Config.default)

@@ -19,7 +19,6 @@ type result = {
 
 val run_packed :
   ?keep:(Op.t -> bool) ->
-  ?engine:Sasos_engine.Engine.t ->
   Op.geom ->
   Op.t list ->
   Sasos_os.System_intf.packed ->
@@ -27,17 +26,10 @@ val run_packed :
 (** [keep] is the mutation hook: operations for which it returns [false]
     are silently dropped on the machine side only — modelling an
     implementation that forgets to apply them — while the oracle still
-    sees the full script. Default keeps everything.
-
-    [engine] (default {!Sasos_engine.Engine.default_engine}) selects the
-    execution path: [Scalar] interprets the script directly; [Batch]
-    lowers the kept script through {!Op.to_events}, compiles it and runs
-    the {!Sasos_engine.Engine} decode loop. Outcomes, probe set and
-    over-allow verdict are identical (property-tested). *)
+    sees the full script. Default keeps everything. *)
 
 val run :
   ?keep:(Op.t -> bool) ->
-  ?engine:Sasos_engine.Engine.t ->
   Op.geom ->
   Op.t list ->
   Sasos_machine.Sys_select.variant ->

@@ -129,8 +129,6 @@ module Runner = Sasos_runner.Runner
 module Shard = Sasos_shard.Shard
 module Dash = Sasos_shard.Dash
 module Trend = Sasos_trend.Trend
-module Engine = Sasos_engine.Engine
-module Kernel = Sasos_engine.Kernel
 
 module Check = struct
   module Op = Sasos_check.Op

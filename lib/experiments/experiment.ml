@@ -9,36 +9,10 @@ type t = {
   run : unit -> string;
 }
 
-(* Batch mode: the workload runs once against an uninstrumented scratch
-   machine of the same model wrapped in a trace recorder, the recorded
-   events compile into a flat op stream, and the stream executes on the
-   real machine through the engine's decode loop. The metrics (and the
-   returned machine) come from the replayed machine, so `sasos report`
-   output is identical across engines — gated byte-for-byte in bench/dune
-   and CI. *)
-let run_on_batch variant config workload =
-  let scratch = Sasos_machine.Sys_select.make_plain variant config in
-  let recorder = Sasos_trace.Recorder.wrap scratch in
-  workload
-    (System_intf.Packed ((module Sasos_trace.Recorder), recorder));
-  let program =
-    Sasos_engine.Engine.compile (Sasos_trace.Recorder.events recorder)
-  in
-  let sys = Sasos_machine.Sys_select.make variant config in
-  (match Sasos_engine.Engine.exec program sys with
-  | Ok _ -> ()
-  | Error { Sasos_trace.Player.at; reason; _ } ->
-      invalid_arg
-        (Printf.sprintf "Experiment.run_on(batch): event %d: %s" at reason));
-  (Metrics.copy (System_ops.metrics sys), sys)
-
 let run_on variant config workload =
-  match Sasos_engine.Engine.default_engine () with
-  | Sasos_engine.Engine.Batch -> run_on_batch variant config workload
-  | Sasos_engine.Engine.Scalar ->
-      let sys = Sasos_machine.Sys_select.make variant config in
-      workload sys;
-      (Metrics.copy (System_ops.metrics sys), sys)
+  let sys = Sasos_machine.Sys_select.make variant config in
+  workload sys;
+  (Metrics.copy (System_ops.metrics sys), sys)
 
 let metrics_of_op sys op =
   let before = Metrics.copy (System_ops.metrics sys) in

@@ -2,11 +2,11 @@ let absent = -1
 
 (* Free slots carry [free_key] in their keys1 lane instead of a separate
    validity byte array: one fewer load per way on every scan. [free_key]
-   is [min_int], which no caller can store ([raw_insert] rejects negative
+   is [min_int], which no caller can store ([insert] rejects negative
    k1), so a free slot can never alias a live key. *)
 let free_key = min_int
 
-type packed_state = {
+type t = {
   p_policy : Replacement.t;
   (* splitmix int state for Random victim draws; steps in lockstep with
      the reference model's (test/assoc_cache.ml), so both evict the same
@@ -28,8 +28,6 @@ type packed_state = {
   mutable ev_v : int;
   mutable ev_some : bool;
 }
-
-type t = packed_state
 
 let create ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways () =
   if sets < 1 || ways < 1 then
@@ -101,26 +99,17 @@ let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
     if s < best_stamp then scan_min_stamp stamps (j + 1) limit j s
     else scan_min_stamp stamps (j + 1) limit best best_stamp
 
-(* --- raw packed-state operations ---------------------------------------
+(* Workers on a set base. Each public operation below takes a hash,
+   computes the base of its set and calls one of these. *)
 
-   The batch engine's kernel (lib/engine/kernel.ml) precomputes set bases
-   at compile time and drives the packed lanes directly, skipping the
-   per-access hash + division. To keep its semantics identical to the
-   scalar API *by construction*, the raw operations below are the single
-   implementation: the public [find]/[peek]/[insert]/[set_masked] call
-   them with [base = raw_base p ~hash], and the kernel calls them with its
-   precomputed base. Anything one path counts, the other
-   counts. *)
-
-let raw_base p ~hash = set_of_hash p.p_sets hash * p.p_ways
+let base_of p ~hash = set_of_hash p.p_sets hash * p.p_ways
 
 (* the bare scan: slot index of (k1, k2) in the set at [base], -1 when
-   absent; no statistics, no recency. The kernel composes its inlined
-   fast paths from this plus explicit bookkeeping. *)
-let raw_index p ~base ~k1 ~k2 =
+   absent; no statistics, no recency *)
+let index_at p ~base ~k1 ~k2 =
   scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
 
-let raw_find p ~base ~k1 ~k2 =
+let find_at p ~base ~k1 ~k2 =
   let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
   if j >= 0 then begin
     p.p_hits <- p.p_hits + 1;
@@ -138,35 +127,11 @@ let raw_find p ~base ~k1 ~k2 =
     absent
   end
 
-let raw_peek p ~base ~k1 ~k2 =
+let peek_at p ~base ~k1 ~k2 =
   let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
   if j >= 0 then Array.unsafe_get p.vals j else absent
 
-(* [raw_find] immediately followed by [raw_set_masked ~mask:bits ~bits] on
-   the same key, fused into one scan: on a hit the payload gains [bits]
-   in place ([(v land lnot bits) lor bits = v lor bits]) and the
-   pre-update payload is returned; on a miss set_masked would be a no-op
-   returning false, so only the miss is counted. The TLB's
-   lookup-then-mark access path compiles to this. *)
-let raw_find_mark p ~base ~k1 ~k2 ~bits =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
-  if j >= 0 then begin
-    p.p_hits <- p.p_hits + 1;
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
-    let v = Array.unsafe_get p.vals j in
-    Array.unsafe_set p.vals j (v lor bits);
-    v
-  end
-  else begin
-    p.p_misses <- p.p_misses + 1;
-    absent
-  end
-
-let raw_victim p base =
+let victim p base =
   (* precondition: the row is full, so every slot is valid *)
   match p.p_policy with
   | Replacement.Random ->
@@ -175,40 +140,7 @@ let raw_victim p base =
   | Replacement.Lru | Replacement.Fifo ->
       scan_min_stamp p.stamps base (base + p.p_ways) base max_int
 
-(* insert of a key known to be absent from its set (a refill after a
-   counted miss): the re-scan [raw_insert] would run is skipped. The
-   kernel's TLB miss path calls this directly; [raw_insert] routes its
-   not-found case here so there is one implementation of placement,
-   victim choice and eviction bookkeeping. *)
-let raw_refill p ~base ~k1 ~k2 v =
-  if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
-  let free = scan_free p.keys1 base (base + p.p_ways) in
-  (* the fresh stamp is drawn before the victim choice, matching the
-     reference model's tick ordering exactly *)
-  p.p_tick <- p.p_tick + 1;
-  let stamp = p.p_tick in
-  let j =
-    if free >= 0 then begin
-      p.p_length <- p.p_length + 1;
-      p.ev_some <- false;
-      free
-    end
-    else begin
-      let j = raw_victim p base in
-      p.ev_k1 <- p.keys1.(j);
-      p.ev_k2 <- p.keys2.(j);
-      p.ev_v <- p.vals.(j);
-      p.ev_some <- true;
-      p.p_evictions <- p.p_evictions + 1;
-      j
-    end
-  in
-  p.keys1.(j) <- k1;
-  p.keys2.(j) <- k2;
-  p.vals.(j) <- v;
-  p.stamps.(j) <- stamp
-
-let raw_insert p ~base ~k1 ~k2 v =
+let insert_at p ~base ~k1 ~k2 v =
   if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
   let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
   if j >= 0 then begin
@@ -221,9 +153,35 @@ let raw_insert p ~base ~k1 ~k2 v =
     | Replacement.Fifo | Replacement.Random -> ());
     p.ev_some <- false
   end
-  else raw_refill p ~base ~k1 ~k2 v
+  else begin
+    let free = scan_free p.keys1 base (base + p.p_ways) in
+    (* the fresh stamp is drawn before the victim choice, matching the
+       reference model's tick ordering exactly *)
+    p.p_tick <- p.p_tick + 1;
+    let stamp = p.p_tick in
+    let j =
+      if free >= 0 then begin
+        p.p_length <- p.p_length + 1;
+        p.ev_some <- false;
+        free
+      end
+      else begin
+        let j = victim p base in
+        p.ev_k1 <- p.keys1.(j);
+        p.ev_k2 <- p.keys2.(j);
+        p.ev_v <- p.vals.(j);
+        p.ev_some <- true;
+        p.p_evictions <- p.p_evictions + 1;
+        j
+      end
+    in
+    p.keys1.(j) <- k1;
+    p.keys2.(j) <- k2;
+    p.vals.(j) <- v;
+    p.stamps.(j) <- stamp
+  end
 
-let raw_set_masked p ~base ~k1 ~k2 ~mask ~bits =
+let set_masked_at p ~base ~k1 ~k2 ~mask ~bits =
   let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
   if j >= 0 then begin
     p.vals.(j) <- (p.vals.(j) land lnot mask) lor bits;
@@ -231,29 +189,25 @@ let raw_set_masked p ~base ~k1 ~k2 ~mask ~bits =
   end
   else false
 
-let packed_state p = p
-
-(* ----------------------------------------------------------------------- *)
-
-let find p ~hash ~k1 ~k2 = raw_find p ~base:(raw_base p ~hash) ~k1 ~k2
-let peek p ~hash ~k1 ~k2 = raw_peek p ~base:(raw_base p ~hash) ~k1 ~k2
+let find p ~hash ~k1 ~k2 = find_at p ~base:(base_of p ~hash) ~k1 ~k2
+let peek p ~hash ~k1 ~k2 = peek_at p ~base:(base_of p ~hash) ~k1 ~k2
 let mem p ~hash ~k1 ~k2 = peek p ~hash ~k1 ~k2 >= 0
 
 let insert p ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
-  raw_insert p ~base:(raw_base p ~hash) ~k1 ~k2 v
+  insert_at p ~base:(base_of p ~hash) ~k1 ~k2 v
 
 let last_eviction p = if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
 
 let set_masked p ~hash ~k1 ~k2 ~mask ~bits =
-  raw_set_masked p ~base:(raw_base p ~hash) ~k1 ~k2 ~mask ~bits
+  set_masked_at p ~base:(base_of p ~hash) ~k1 ~k2 ~mask ~bits
 
 let set p ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.set: payload must be >= 0";
   set_masked p ~hash ~k1 ~k2 ~mask:(-1) ~bits:v
 
 let remove p ~hash ~k1 ~k2 =
-  let j = raw_index p ~base:(raw_base p ~hash) ~k1 ~k2 in
+  let j = index_at p ~base:(base_of p ~hash) ~k1 ~k2 in
   if j >= 0 then begin
     p.keys1.(j) <- free_key;
     p.p_length <- p.p_length - 1;

@@ -97,85 +97,3 @@ val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 val reset_stats : t -> unit
-
-(** {2 Raw packed-state access}
-
-    The batch engine's decode loop (lib/engine) compiles set bases ahead
-    of time and drives the packed lanes directly, skipping the per-access
-    hash + [mod sets] division. The raw operations below are the {e only}
-    implementation of the fast path — the public API calls them with
-    [base = raw_base state ~hash] — so a kernel
-    built on them counts hits/misses/evictions and draws victims exactly
-    as the scalar calls would. *)
-
-type packed_state = {
-  p_policy : Replacement.t;
-  mutable p_rand : int;
-      (** splitmix state for Random victim draws; steps in lockstep with
-          the reference model's, so both evict the same ways *)
-  p_sets : int;
-  p_ways : int;
-  keys1 : int array;
-      (** flattened [set * ways + way]; a free slot holds {!free_key} *)
-  keys2 : int array;
-  vals : int array;
-  stamps : int array;
-      (** recency for LRU, insertion order for FIFO *)
-  mutable p_tick : int;
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_evictions : int;
-  mutable p_length : int;
-  mutable ev_k1 : int;
-  mutable ev_k2 : int;
-  mutable ev_v : int;
-  mutable ev_some : bool;
-}
-
-val packed_state : t -> packed_state
-(** The underlying lanes. *)
-
-val free_key : int
-(** The keys1 sentinel marking a free slot ([min_int]); storable keys are
-    non-negative ({!insert} and {!raw_insert} reject negative [k1]), so a
-    key comparison alone distinguishes live entries — scans need no
-    separate validity lane. *)
-
-val raw_base : packed_state -> hash:int -> int
-(** Flattened index of the first way of [hash]'s set — precomputable when
-    the key (hence hash) is known at compile time. *)
-
-val raw_index : packed_state -> base:int -> k1:int -> k2:int -> int
-(** The bare scan: flattened slot index of [(k1, k2)] in the set at
-    [base], or -1 when absent. No statistics, no recency touch — the
-    kernel's inlined decode arms compose their bookkeeping around this
-    (and the lockstep properties pin them to {!raw_find}'s). *)
-
-val raw_find : packed_state -> base:int -> k1:int -> k2:int -> int
-(** {!find} given a precomputed set base. *)
-
-val raw_peek : packed_state -> base:int -> k1:int -> k2:int -> int
-(** {!peek} given a precomputed set base. *)
-
-val raw_find_mark :
-  packed_state -> base:int -> k1:int -> k2:int -> bits:int -> int
-(** {!find} fused with [set_masked ~mask:bits ~bits] on the same key, in
-    one scan: a hit returns the pre-update payload after ORing [bits] into
-    it; a miss counts and returns {!absent} (set_masked would have been a
-    no-op). The TLB access path (lookup + mark_used) compiles to this. *)
-
-val raw_insert : packed_state -> base:int -> k1:int -> k2:int -> int -> unit
-(** {!insert} given a precomputed set base. Does {e not} re-check the
-    payload sign; callers validate (the engine does so at compile time).
-    @raise Invalid_argument on a negative [k1]. *)
-
-val raw_refill : packed_state -> base:int -> k1:int -> k2:int -> int -> unit
-(** {!raw_insert} for a key already known to be absent from its set — a
-    refill following a counted miss — skipping the presence re-scan.
-    Placement, victim choice and eviction bookkeeping are shared with
-    {!raw_insert} (which delegates its not-found case here).
-    @raise Invalid_argument on a negative [k1]. *)
-
-val raw_set_masked :
-  packed_state -> base:int -> k1:int -> k2:int -> mask:int -> bits:int -> bool
-(** {!set_masked} given a precomputed set base. *)

@@ -1,7 +1,6 @@
 (* Entries live in a Packed_cache: k1 = AID, k2 = 0, payload 0/1 = the
    write-disable bit. The cache is a single set, so the multiplicative
-   AID hash never changes placement; it is exported for the batch
-   compiler. *)
+   AID hash never changes placement. *)
 
 let hash_of aid = aid * 0x9e3779b1
 
@@ -65,5 +64,3 @@ let iter f t = Packed_cache.iter (fun aid _k2 d -> f aid (d = 1)) t.cache
 let hits t = Packed_cache.hits t.cache
 let misses t = Packed_cache.misses t.cache
 let reset_stats t = Packed_cache.reset_stats t.cache
-
-let raw_cache t = t.cache

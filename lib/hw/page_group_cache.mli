@@ -48,11 +48,3 @@ val iter : (int -> bool -> unit) -> t -> unit
 val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
-
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel.
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
-
-val hash_of : int -> int
-(** The AID key hash, exported so the batch compiler can precompute set
-    placement. *)

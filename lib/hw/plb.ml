@@ -184,5 +184,3 @@ let iter f t =
 let hits t = Packed_cache.hits t.cache
 let misses t = Packed_cache.misses t.cache
 let reset_stats t = Packed_cache.reset_stats t.cache
-
-let raw_cache t = t.cache

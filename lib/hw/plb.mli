@@ -77,15 +77,3 @@ val iter : (Pd.t -> Va.t -> int -> Rights.t -> unit) -> t -> unit
 val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
-
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel (which
-    precomputes this module's hashes and set bases at compile time).
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
-
-val hash_of : pd:int -> shift:int -> pn:int -> int
-(** The PLB's key hash (a pure function of the key), exported so the batch
-    compiler can precompute set placement. *)
-
-val pack_k2 : pd:int -> shift:int -> int
-(** The PLB's second key lane: [(pd lsl 6) lor shift]. *)

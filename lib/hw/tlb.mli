@@ -104,20 +104,3 @@ val iter : (int -> Va.vpn -> int -> unit) -> t -> unit
 val hits : t -> int
 val misses : t -> int
 val reset_stats : t -> unit
-
-val raw_cache : t -> Packed_cache.t
-(** The underlying cache, for the batch engine's compiled kernel.
-    Bypasses the occupancy probe — kernel users run with [Probe.null]. *)
-
-val hash_of : space:int -> vpn:int -> int
-(** The TLB's key hash, exported so the batch compiler can precompute set
-    placement. *)
-
-val referenced_bit : int
-val dirty_bit : int
-(** Entry bit masks for the access-path bookkeeping ({!mark_used} ORs
-    [referenced_bit lor (dirty_bit when writing)]). *)
-
-val pfn_shift : int
-(** Bit position of the PFN field inside a packed entry
-    ([pfn_of e = e lsr pfn_shift]). *)

@@ -85,21 +85,17 @@ let make_single variant config =
             with type t = Conv_machine.Flush.t),
          Conv_machine.Flush.create config)
 
-(* When --cores N > 1 every machine built through here (including the
-   batch engine's scratch recorder machine — draw streams must match) is
-   smp-lifted with the process-global policy; at 1 core the plain
-   machine is returned unchanged, bit-identical to a build without the
-   smp layer. *)
-let make_plain variant config =
-  if Smp.cores () > 1 then
-    make_smp variant ~cores:(Smp.cores ()) ~purge:(Smp.purge ()) config
-  else make_single variant config
-
-(* When a collector is ambient, every machine built through here comes back
-   span-instrumented; otherwise the plain machine is returned unchanged, so
-   a disabled run pays nothing. *)
+(* When --cores N > 1 every machine built through here is smp-lifted
+   with the process-global policy; at 1 core the plain machine is
+   returned unchanged, bit-identical to a build without the smp layer.
+   When a collector is ambient, the machine comes back span-instrumented;
+   otherwise it is returned unchanged, so a disabled run pays nothing. *)
 let make variant config =
-  let packed = make_plain variant config in
+  let packed =
+    if Smp.cores () > 1 then
+      make_smp variant ~cores:(Smp.cores ()) ~purge:(Smp.purge ()) config
+    else make_single variant config
+  in
   let obs = Sasos_obs.Obs.ambient () in
   if Sasos_obs.Obs.enabled obs then Obs_instrument.wrap_packed obs packed
   else packed

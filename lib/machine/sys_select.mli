@@ -16,16 +16,12 @@ val of_string : string -> variant option
 val to_string : variant -> string
 
 val make : variant -> Config.t -> System_intf.packed
-(** Instantiate a machine of the given model. When the ambient
+(** Instantiate a machine of the given model. When the process-global
+    {!Sasos_smp.Smp.cores} is above 1 the machine comes back smp-lifted
+    with the process-global purge policy. When the ambient
     {!Sasos_obs.Obs} collector is enabled the machine comes back wrapped
     with {!Obs_instrument}, so every [SYSTEM] operation is attributed;
     when disabled, the plain machine is returned unchanged. *)
-
-val make_plain : variant -> Config.t -> System_intf.packed
-(** Instantiate without consulting the ambient collector (never
-    instrumented). When the process-global {!Sasos_smp.Smp.cores} is
-    above 1 the machine still comes back smp-lifted — the multicore
-    layer is part of the machine, not of the instrumentation. *)
 
 val make_smp :
   variant ->

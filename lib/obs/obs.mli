@@ -17,8 +17,8 @@
 
     - the {!disabled} collector carries no state and its entry points are
       no-op closures behind a function-pointer record, so a hot loop that
-      consults the ambient collector allocates nothing (verified by a
-      benchmark guardrail in [bench/main.exe]);
+      consults the ambient collector allocates nothing (verified by the
+      "disabled allocates nothing" guardrail in [test/test_obs.ml]);
     - machines are only wrapped with span instrumentation when the
       ambient collector is enabled ([Sys_select.make]), so the disabled
       access path is {e exactly} the uninstrumented one;

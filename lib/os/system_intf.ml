@@ -96,8 +96,8 @@ module type SYSTEM = sig
       network fetch, compression work, a checkpoint disk write — against
       this machine's metrics. Going through the interface (instead of
       mutating {!metrics} directly) lets a trace recorder capture the
-      charge, so a batch-engine replay re-applies it to the replayed
-      machine and both engines report identical cycles.
+      charge, so a replay of the trace re-applies it to the replayed
+      machine and reports the same cycles as the recorded run.
       @raise Invalid_argument on a negative amount. *)
 
   (** {2 Introspection (experiments, tests)} *)

@@ -45,8 +45,8 @@ val charge_external :
 (** Account workload-level costs the machine does not model (a DSM network
     fetch, compression work, a checkpoint disk write). Workloads must use
     this instead of mutating {!metrics} directly: the charge goes through
-    the SYSTEM interface, so a trace recorder captures it and a
-    batch-engine replay re-applies it — both engines then report identical
+    the SYSTEM interface, so a trace recorder captures it and a replay of
+    the trace re-applies it — the replay then reports the recorded run's
     cycle totals. @raise Invalid_argument on a negative amount. *)
 
 val read : System_intf.packed -> Va.t -> Access.outcome

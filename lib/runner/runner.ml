@@ -23,7 +23,12 @@ let now_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 
 let run_one ?(profile = false) ?sample_every ?ring_capacity index
     (e : Experiment.t) =
+  (* Gc.minor_words, not quick_stat, for the minor count: on OCaml 5.1
+     quick_stat's minor_words only advances at minor collections, so it
+     reads 0 for an experiment that fits between two of them. It is
+     domain-local, so the count is the same at every job count. *)
   let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let t0 = now_ns () in
   (* One collector per experiment, merged later in registry order, so the
      aggregated profile is independent of the job count. *)
@@ -46,6 +51,7 @@ let run_one ?(profile = false) ?sample_every ?ring_capacity index
     | Done | Failed _ -> None
   in
   let t1 = now_ns () in
+  let m1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   {
     index;
@@ -56,7 +62,7 @@ let run_one ?(profile = false) ?sample_every ?ring_capacity index
     output;
     profile = summary;
     wall_ns = Int64.sub t1 t0;
-    minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+    minor_words = m1 -. m0;
     major_words = g1.Gc.major_words -. g0.Gc.major_words;
     promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
   }

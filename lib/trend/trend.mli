@@ -22,7 +22,7 @@ type point = {
 type series = {
   name : string;
       (** benchmark plus its configuration discriminators, e.g.
-          ["hot_path backend=packed engine=batch"] or
+          ["hot_path backend=packed engine=scalar"] or
           ["scale shards=4"] *)
   points : point list;  (** chronological (BENCH-file name order) *)
 }

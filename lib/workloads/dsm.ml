@@ -52,7 +52,7 @@ let run ?(params = default) sys =
   and invalidations = ref 0
   and updates = ref 0 in
   (* network latency is a workload cost, not a machine op: charged through
-     the SYSTEM interface so a batch-engine replay re-applies it *)
+     the SYSTEM interface so a trace replay re-applies it *)
   let charge_network () =
     System_ops.charge_external sys ~cycles:p.remote_fetch_cycles ()
   in

@@ -697,10 +697,8 @@ let golden_script =
 
 (* Total cycles, the digest of the non-zero counters and access outcomes,
    and the counters themselves (for the failure report). *)
-let golden_run sys engine =
-  let r =
-    Check.Exec.run_packed ~engine Check.Op.default_geom golden_script sys
-  in
+let golden_run sys =
+  let r = Check.Exec.run_packed Check.Op.default_geom golden_script sys in
   let fields =
     List.filter (fun (_, n) -> n <> 0) (Metrics.fields (System_ops.metrics sys))
   in
@@ -719,7 +717,7 @@ let check_golden what (cycles, digest) (c, d, fields) =
       (String.concat "\n"
          (List.map (fun (k, n) -> Printf.sprintf "  %s %d" k n) fields))
 
-(* One core; both engines must reproduce the same run. *)
+(* One core. *)
 let golden_uni =
   [
     ("plb", (3161352, "8a77f8724d97421298134c90c778632a"));
@@ -730,17 +728,13 @@ let golden_uni =
   ]
 
 let test_golden_uni label v () =
-  List.iter
-    (fun engine ->
-      check_golden
-        (Engine.to_string engine ^ " engine")
-        (List.assoc label golden_uni)
-        (golden_run (Machines.make v golden_config) engine))
-    [ Engine.Scalar; Engine.Batch ]
+  check_golden "one core"
+    (List.assoc label golden_uni)
+    (golden_run (Machines.make v golden_config))
 
 (* Four cores, each holding its own caches, under every purge policy (in
    [Smp.all_purges] order): the seeded interleaving, the shootdowns and
-   the replicas' purge work, on both engines. *)
+   the replicas' purge work. *)
 let golden_smp =
   [
     ( "plb",
@@ -778,16 +772,10 @@ let golden_smp =
 let test_golden_smp label v () =
   List.iter2
     (fun purge expected ->
-      List.iter
-        (fun engine ->
-          check_golden
-            (Printf.sprintf "%s purge, %s engine"
-               (Smp.purge_to_string purge) (Engine.to_string engine))
-            expected
-            (golden_run
-               (Machines.make_smp v ~cores:4 ~purge golden_config)
-               engine))
-        [ Engine.Scalar; Engine.Batch ])
+      check_golden
+        (Smp.purge_to_string purge ^ " purge")
+        expected
+        (golden_run (Machines.make_smp v ~cores:4 ~purge golden_config)))
     Smp.all_purges (List.assoc label golden_smp)
 
 let suite =

@@ -179,6 +179,41 @@ let test_json_shape () =
       "\"output_bytes\": ";
     ]
 
+(* An experiment that allocates [alloc_blocks] fresh 99-field arrays:
+   100 words each with the header, all on the minor heap. *)
+let alloc_blocks = 500
+let alloc_words = float_of_int (alloc_blocks * 100)
+
+let allocating_exp i =
+  {
+    Experiments.Experiment.id = Printf.sprintf "alloc%d" i;
+    title = "allocation probe";
+    paper_ref = "test";
+    description = "allocates a known number of minor-heap words";
+    run =
+      (fun () ->
+        for _ = 1 to alloc_blocks do
+          ignore (Sys.opaque_identity (Array.make 99 0))
+        done;
+        "");
+  }
+
+(* The count covers the experiment's own words plus about 140 of the
+   runner's (header, clock reads), and is the same on every job count. *)
+let test_minor_words () =
+  let exps = [ allocating_exp 0; allocating_exp 1 ] in
+  let words jobs =
+    List.map (fun r -> r.Runner.minor_words) (Runner.run ~jobs exps)
+  in
+  let w1 = words 1 in
+  List.iter
+    (fun w ->
+      if w < alloc_words || w > alloc_words +. 2_000. then
+        Alcotest.failf "minor_words %.0f, expected %.0f to %.0f" w alloc_words
+          (alloc_words +. 2_000.))
+    w1;
+  Alcotest.(check (list (float 0.))) "same count at jobs 1 and 2" w1 (words 2)
+
 let test_bad_jobs () =
   Alcotest.check_raises "jobs=0 rejected"
     (Invalid_argument "Runner.run: jobs must be >= 1") (fun () ->
@@ -222,6 +257,8 @@ let suite =
     Alcotest.test_case "real experiments in parallel" `Quick
       test_real_experiments_parallel;
     Alcotest.test_case "JSON metrics shape" `Quick test_json_shape;
+    Alcotest.test_case "minor_words counts the experiment's allocation"
+      `Quick test_minor_words;
     Alcotest.test_case "jobs < 1 rejected" `Quick test_bad_jobs;
     Qprop.to_alcotest prop_map_pool_n_lockstep;
     Alcotest.test_case "map_pool_n bad args rejected" `Quick

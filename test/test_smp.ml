@@ -1,6 +1,6 @@
 (* Multicore shootdown layer (lib/smp): the seeded-interleaving
    determinism contract — identical (seed, cores, policy) means
-   byte-identical metrics and schedule hash on every machine and engine —
+   byte-identical metrics and schedule hash on every machine —
    plus the per-policy coherence invariants (eager leaves no stale entry
    behind; lazy traps on every stale reuse and never grants above the
    pre-revocation snapshot; batched flushes exactly at the IPI budget)
@@ -50,9 +50,9 @@ type fingerprint = {
   fp_outcomes : Access.outcome list;
 }
 
-let run_once variant engine ~script ~mseed ~cores ~purge =
+let run_once variant ~script ~mseed ~cores ~purge =
   let sys = Machines.make_smp variant ~cores ~purge (Config.v ~seed:mseed ()) in
-  let r = Exec.run_packed ~engine geom script sys in
+  let r = Exec.run_packed geom script sys in
   let h = Option.get (Smp.last ()) in
   {
     fp_fields = Metrics.fields (System_ops.metrics sys);
@@ -73,7 +73,7 @@ let prop_determinism =
   QCheck2.Test.make ~count:4 ~print:print_case
     ~name:
       "identical (seed,cores,policy) => identical metrics and schedule \
-       hash; different seed => different hash [all machines x engines]"
+       hash; different seed => different hash [all machines]"
     gen_case
     (fun (seed, cores, purge) ->
       with_globals (fun () ->
@@ -83,13 +83,12 @@ let prop_determinism =
           List.for_all
             (fun (_, variant) ->
               let go = run_once variant ~script ~cores ~purge in
-              let a = go Engine.Scalar ~mseed:seed in
-              let b = go Engine.Scalar ~mseed:seed in
-              let batch = go Engine.Batch ~mseed:seed in
+              let a = go ~mseed:seed in
+              let b = go ~mseed:seed in
               (* a different machine seed reorders the interleaving: same
                  script, different core draws, different hash *)
-              let other = go Engine.Scalar ~mseed:(seed + 1) in
-              a = b && batch = a && other.fp_hash <> a.fp_hash)
+              let other = go ~mseed:(seed + 1) in
+              a = b && other.fp_hash <> a.fp_hash)
             variants))
 
 (* -- coherence invariants ----------------------------------------------- *)
