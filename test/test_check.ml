@@ -1,6 +1,7 @@
 (* The conformance subsystem tested against itself: oracle semantics on
    hand-written scripts, generator well-formedness and reproducibility,
-   shrinker minimality under planted bugs, corpus round trips, and the
+   shrinker minimality under planted bugs, corpus round trips, the
+   equivalence of a script and its trace events, and the
    jobs-invariance of the harness report. *)
 
 open Sasos
@@ -222,6 +223,95 @@ let test_corpus_detects_tampering () =
   | Error msg ->
       Alcotest.(check bool) "names a machine" true (String.length msg > 0)
 
+(* -- script <-> trace events ------------------------------------------- *)
+
+let gen_case = QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 1 120))
+
+let print_case (seed, ops) =
+  Printf.sprintf "seed %d, %d ops: %s" seed ops
+    (Op.show_script (Gen.script (Util.Prng.create ~seed) geom ~ops))
+
+let recorder sys =
+  let r = Trace.Recorder.wrap sys in
+  ( r,
+    Os.System_intf.Packed
+      ((module Trace.Recorder : Os.System_intf.SYSTEM
+         with type t = Trace.Recorder.t),
+        r) )
+
+(* Exec.mli promises the same prologue order as Op.to_events; a corpus
+   trace is saved with to_events and replayed in place of the script it
+   was minimized from, so the two must issue identical calls. *)
+let prop_exec_issues_to_events =
+  QCheck2.Test.make ~count:40 ~print:print_case
+    ~name:"exec issues exactly the calls of to_events" gen_case
+    (fun (seed, ops) ->
+      let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
+      let r, sys = recorder (Machines.make Machines.Plb Os.Config.default) in
+      ignore (Exec.run_packed geom script sys);
+      let got = Trace.Recorder.events r and want = Op.to_events geom script in
+      List.length got = List.length want
+      && List.for_all2 Trace.Event.equal got want)
+
+(* The player and the executor are two routes to the same SYSTEM calls:
+   replaying a script's events reproduces its direct run, outcomes and
+   every metric counter, on every machine. *)
+let prop_replay_matches_exec =
+  QCheck2.Test.make ~count:25 ~print:print_case
+    ~name:"replayed to_events = direct execution on every machine" gen_case
+    (fun (seed, ops) ->
+      let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
+      let events = Op.to_events geom script in
+      List.for_all
+        (fun (_, v) ->
+          let direct = Machines.make v Os.Config.default in
+          let want = (Exec.run_packed geom script direct).Exec.outcomes in
+          let replayed = Machines.make v Os.Config.default in
+          match Trace.Player.replay events replayed with
+          | Error _ -> false
+          | Ok got ->
+              List.length got = List.length want
+              && List.for_all2 Access.outcome_equal got want
+              && Hw.Metrics.fields (Os.System_ops.metrics replayed)
+                 = Hw.Metrics.fields (Os.System_ops.metrics direct))
+        Machines.all)
+
+(* of_events is how a persisted corpus trace gets back to the script the
+   multicore oracle mirror reruns. *)
+let prop_of_events_inverts =
+  QCheck2.Test.make ~count:60 ~print:print_case
+    ~name:"of_events inverts to_events" gen_case (fun (seed, ops) ->
+      let script = Gen.script (Util.Prng.create ~seed) geom ~ops in
+      match Op.of_events (Op.to_events geom script) with
+      | Error _ -> false
+      | Ok (g, s) -> g = geom && s = script)
+
+let test_of_events_rejects () =
+  let module E = Trace.Event in
+  let seg pages = E.New_segment { pages; align_shift = None; name = "" } in
+  let rejects what events =
+    match Op.of_events events with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  rejects "empty trace" [];
+  rejects "no domains" [ seg 4; E.Switch { pd = 0 } ];
+  rejects "no segments" [ E.New_domain; E.Switch { pd = 0 } ];
+  rejects "segments differ in size"
+    [ E.New_domain; seg 4; seg 2; E.Switch { pd = 0 } ];
+  rejects "no closing switch" [ E.New_domain; seg 4 ];
+  rejects "switch to domain 1"
+    [ E.New_domain; E.New_domain; seg 4; E.Switch { pd = 1 } ];
+  rejects "domain after the prologue"
+    [ E.New_domain; seg 4; E.Switch { pd = 0 }; E.New_domain ];
+  rejects "charge in the script"
+    [
+      E.New_domain;
+      seg 4;
+      E.Switch { pd = 0 };
+      E.Charge { cycles = 1; page_ins = 0; page_outs = 0 };
+    ]
+
 let test_report_jobs_invariant () =
   let text jobs =
     Harness.report_text (Harness.run ~jobs ~ops:60 ~scripts:23 ~seed:3 ())
@@ -256,5 +346,10 @@ let suite =
     Alcotest.test_case "corpus roundtrip" `Quick test_corpus_roundtrip;
     Alcotest.test_case "corpus detects tampering" `Quick
       test_corpus_detects_tampering;
+    Qprop.to_alcotest prop_exec_issues_to_events;
+    Qprop.to_alcotest prop_replay_matches_exec;
+    Qprop.to_alcotest prop_of_events_inverts;
+    Alcotest.test_case "of_events rejects a malformed trace" `Quick
+      test_of_events_rejects;
     Alcotest.test_case "report jobs-invariant" `Quick test_report_jobs_invariant;
   ]

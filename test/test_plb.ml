@@ -157,10 +157,148 @@ let prop_multigrain_model =
               Plb.lookup p ~pd:(pd pd') ~va = model_lookup pd' va)
         ops)
 
+(* -- lockstep vs the boxed reference under eviction ------------------
+
+   The multi-grain model above has room for every entry. This one drives
+   a small fully associative PLB (one set, so placement does not depend
+   on the entry hash) op by op against Assoc_cache, the boxed reference
+   cache, under each replacement policy: lookups, hit/miss counts,
+   sweep results and the resident entries must agree after every op. *)
+
+module Ref = Assoc_cache.Make (struct
+  type t = int * int * int (* pd, shift, protection page number *)
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
+type lockstep_op =
+  | Install of int * int * int * int (* pd, grain index, page, rights *)
+  | Lookup of int * int (* pd, page *)
+  | Update of int * int * int (* pd, page, rights *)
+  | Invalidate of int * int
+  | Purge_domain of int
+  | Revoke_write (* update_matching: drop write rights everywhere *)
+  | Flush
+
+let lockstep_shifts = [ 12; 16 ]
+
+let print_lockstep_op = function
+  | Install (d, g, page, r) -> Printf.sprintf "Install(%d,%d,%d,%d)" d g page r
+  | Lookup (d, page) -> Printf.sprintf "Lookup(%d,%d)" d page
+  | Update (d, page, r) -> Printf.sprintf "Update(%d,%d,%d)" d page r
+  | Invalidate (d, page) -> Printf.sprintf "Invalidate(%d,%d)" d page
+  | Purge_domain d -> Printf.sprintf "Purge_domain(%d)" d
+  | Revoke_write -> "Revoke_write"
+  | Flush -> "Flush"
+
+let lockstep_op_gen =
+  let open QCheck2.Gen in
+  let d = int_range 1 3 and page = int_bound 31 and r = int_bound 7 in
+  frequency
+    [
+      ( 4,
+        map
+          (fun (d, (g, (page, r))) -> Install (d, g, page, r))
+          (pair d (pair (int_bound 1) (pair page r))) );
+      (5, map2 (fun d page -> Lookup (d, page)) d page);
+      (2, map3 (fun d page r -> Update (d, page, r)) d page r);
+      (2, map2 (fun d page -> Invalidate (d, page)) d page);
+      (1, map (fun d -> Purge_domain d) d);
+      (1, return Revoke_write);
+      (1, return Flush);
+    ]
+
+(* the documented multi-grain semantics, over the reference cache *)
+let ref_lookup m d va =
+  match
+    List.find_opt (fun s -> Ref.mem m (d, s, va lsr s)) lockstep_shifts
+  with
+  | Some s -> Ref.find m (d, s, va lsr s)
+  | None ->
+      (* one counted miss per access *)
+      let s = List.hd lockstep_shifts in
+      Ref.find m (d, s, va lsr s)
+
+let revoke_write r = Rights.remove r Rights.w
+
+let plb_lockstep_step p m op =
+  let va page = page lsl 12 in
+  match op with
+  | Install (d, g, page, r) ->
+      let shift = List.nth lockstep_shifts g in
+      Plb.install p ~pd:(pd d) ~va:(va page) ~shift (Rights.of_int r);
+      ignore (Ref.insert m (d, shift, va page lsr shift) (Rights.of_int r));
+      true
+  | Lookup (d, page) ->
+      let va = va page lor 0x123 in
+      Plb.lookup p ~pd:(pd d) ~va = ref_lookup m d va
+  | Update (d, page, r) ->
+      let r = Rights.of_int r in
+      Plb.update_rights p ~pd:(pd d) ~va:(va page) r
+      = List.exists
+          (fun s -> Ref.update m (d, s, va page lsr s) (fun _ -> r))
+          lockstep_shifts
+  | Invalidate (d, page) ->
+      Plb.invalidate p ~pd:(pd d) ~va:(va page)
+      = List.fold_left
+          (fun any s -> Ref.remove m (d, s, va page lsr s) || any)
+          false lockstep_shifts
+  | Purge_domain d ->
+      Plb.purge_matching p (fun pd' _ _ -> Pd.to_int pd' = d)
+      = Ref.purge m (fun (d', _, _) _ -> d' = d)
+  | Revoke_write ->
+      let changed =
+        Ref.fold
+          (fun k r acc ->
+            if Rights.equal (revoke_write r) r then acc else k :: acc)
+          m []
+      in
+      let inspected = Ref.length m in
+      List.iter (fun k -> ignore (Ref.update m k revoke_write)) changed;
+      Plb.update_matching p (fun _ _ r -> Some (revoke_write r))
+      = (inspected, List.length changed)
+  | Flush -> Plb.flush p = Ref.clear m
+
+let plb_contents p =
+  let acc = ref [] in
+  Plb.iter
+    (fun pd' va shift r ->
+      acc := (Pd.to_int pd', shift, va lsr shift, r) :: !acc)
+    p;
+  List.sort compare !acc
+
+let ref_contents m =
+  List.sort compare
+    (Ref.fold (fun (d, s, pn) r acc -> (d, s, pn, r) :: acc) m [])
+
+let prop_lockstep_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"PLB lockstep vs reference under eviction, all policies"
+    ~print:(fun (policy, ops) ->
+      Replacement.to_string policy ^ ": "
+      ^ String.concat " " (List.map print_lockstep_op ops))
+    QCheck2.Gen.(
+      pair
+        (oneofl Replacement.[ Lru; Fifo; Random ])
+        (list_size (int_range 1 120) lockstep_op_gen))
+    (fun (policy, ops) ->
+      let p = Plb.create ~policy ~shifts:lockstep_shifts ~sets:1 ~ways:6 () in
+      let m = Ref.create ~policy ~sets:1 ~ways:6 () in
+      List.for_all
+        (fun op ->
+          plb_lockstep_step p m op
+          && Plb.hits p = Ref.hits m
+          && Plb.misses p = Ref.misses m
+          && Plb.length p = Ref.length m
+          && plb_contents p = ref_contents m)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "basic lookup" `Quick test_basic;
     Qprop.to_alcotest prop_multigrain_model;
+    Qprop.to_alcotest prop_lockstep_reference;
     Alcotest.test_case "per-domain duplication" `Quick test_per_domain_entries;
     Alcotest.test_case "update rights in place" `Quick test_update_rights;
     Alcotest.test_case "purge_matching (detach)" `Quick test_purge_matching;

@@ -4,9 +4,9 @@ open Sasos.Trace
 
 let outcome = Alcotest.testable Access.pp_outcome Access.outcome_equal
 
-(* a recorder over a PLB machine, exposed as a packed SYSTEM *)
-let recording () =
-  let inner = Machines.make Machines.Plb Config.default in
+(* a recorder over a machine (PLB by default), exposed as a packed SYSTEM *)
+let recording ?(variant = Machines.Plb) () =
+  let inner = Machines.make variant Config.default in
   let r = Recorder.wrap inner in
   let sys =
     System_intf.Packed
@@ -199,6 +199,63 @@ let test_charge_recorded_and_replayed () =
     (Invalid_argument "charge_external: negative amount") (fun () ->
       System_ops.charge_external sys ~cycles:(-1) ())
 
+(* Workloads that charge external costs (DSM network fetches, checkpoint
+   disk writes, the compression server's work) send them through the
+   recorder as Charge events, so replaying the trace on a fresh machine
+   of the same model reproduces every counter of the recorded run. *)
+let charging_workloads =
+  [
+    ( "dsm",
+      fun sys ->
+        ignore
+          (Workloads.Dsm.run
+             ~params:{ Workloads.Dsm.default with refs = 2_000; pages = 32 }
+             sys) );
+    ( "checkpoint",
+      fun sys ->
+        ignore
+          (Workloads.Checkpoint.run
+             ~params:
+               {
+                 Workloads.Checkpoint.default with
+                 data_pages = 32;
+                 checkpoints = 2;
+                 refs_between = 500;
+                 refs_during = 500;
+               }
+             sys) );
+    ( "compress_paging",
+      fun sys ->
+        ignore
+          (Workloads.Compress_paging.run
+             ~params:
+               {
+                 Workloads.Compress_paging.default with
+                 data_pages = 48;
+                 refs = 2_000;
+                 resident_target = 16;
+               }
+             sys) );
+  ]
+
+let test_charges_replayed run () =
+  List.iter
+    (fun (name, v) ->
+      let r, sys = recording ~variant:v () in
+      run sys;
+      let trace = Recorder.events r in
+      Alcotest.(check bool)
+        (name ^ ": trace carries charges")
+        true
+        (List.exists (function Event.Charge _ -> true | _ -> false) trace);
+      let replayed = Machines.make v Config.default in
+      ignore (Player.replay_exn trace replayed);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": replayed counters")
+        (Metrics.fields (System_ops.metrics sys))
+        (Metrics.fields (System_ops.metrics replayed)))
+    Machines.all
+
 let test_recorder_default_create () =
   (* Recorder.create wraps a fresh PLB machine, making it usable anywhere a
      SYSTEM is expected *)
@@ -355,6 +412,14 @@ let suite =
       test_recorder_default_create;
     Alcotest.test_case "charge recorded and replayed" `Quick
       test_charge_recorded_and_replayed;
+  ]
+  @ List.map
+      (fun (name, run) ->
+        Alcotest.test_case
+          (Printf.sprintf "workload charges replayed [%s]" name)
+          `Quick (test_charges_replayed run))
+      charging_workloads
+  @ [
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "recorder metrics passthrough" `Quick
       test_recorder_metrics_passthrough;
