@@ -22,6 +22,13 @@ let f_stamp = 4 (* recency for LRU, fill order for FIFO *)
 let valid = 1
 let dirty = 2
 
+(* A second, much smaller array keeps one bit per line, set while the
+   line is valid: line [i] is bit [i land 31] of word [i lsr 5]. A flush
+   walks the set bits instead of every line, so its host time follows
+   the lines that are cached, not the cache's size. *)
+let word_shift = 5
+let word_mask = (1 lsl word_shift) - 1
+
 type t = {
   organization : org;
   line_shift : int;
@@ -30,6 +37,7 @@ type t = {
   policy : Replacement.t;
   rng : Sasos_util.Prng.t;
   lines : int array;
+  valid_bits : int array;
   (* residency count per physical line, for synonym detection; flat so
      the per-miss incr/decr never allocates (a Hashtbl conses a bucket
      and an option on every miss). Only ever probed, so it starts small
@@ -63,6 +71,7 @@ let create ?(policy = Replacement.Lru) ?(seed = 0xcac4e) ?(probe = Probe.null)
     policy;
     rng = Prng.create ~seed;
     lines = Array.make (nlines * fields) 0;
+    valid_bits = Array.make ((nlines + word_mask) lsr word_shift) 0;
     pa_resident = Flat_tab.create ();
     probe;
     probe_as;
@@ -99,6 +108,19 @@ let pa_decr t pa_line =
 
 let note_occupancy t = Probe.set_occupancy t.probe t.probe_as t.live
 
+(* Set or clear the valid bit of the line starting at word [j]. *)
+let set_valid_bit t j =
+  let i = j / fields in
+  let w = i lsr word_shift in
+  Array.unsafe_set t.valid_bits w
+    (Array.unsafe_get t.valid_bits w lor (1 lsl (i land word_mask)))
+
+let clear_valid_bit t j =
+  let i = j / fields in
+  let w = i lsr word_shift in
+  Array.unsafe_set t.valid_bits w
+    (Array.unsafe_get t.valid_bits w land lnot (1 lsl (i land word_mask)))
+
 (* Invalidate the valid line starting at word [j], writing it back if
    dirty. *)
 let evict_line t j =
@@ -107,6 +129,7 @@ let evict_line t j =
   if Array.unsafe_get l (j + f_state) land dirty <> 0 then
     t.writebacks <- t.writebacks + 1;
   Array.unsafe_set l (j + f_state) 0;
+  clear_valid_bit t j;
   t.live <- t.live - 1;
   Probe.note_purged t.probe t.probe_as 1
 
@@ -183,6 +206,7 @@ let access_bits t ~space ~va ~pa ~write =
     Array.unsafe_set l (v + f_va) va_line;
     Array.unsafe_set l (v + f_pa) pa_line;
     Array.unsafe_set l (v + f_stamp) (next_tick t);
+    set_valid_bit t v;
     t.live <- t.live + 1;
     Probe.note_fill t.probe t.probe_as;
     note_occupancy t;
@@ -234,17 +258,49 @@ let rec flush_sets t sel a b c set n acc =
       (n - 1)
       (flush_lines t sel a b c base (base + (t.ways * fields)) acc)
 
+(* Position of the one set bit of [b], a power of two below [2^32]. *)
+let bit_index b =
+  let h = if b land 0xffff = 0 then 16 else 0 in
+  let b = b lsr h in
+  let q = if b land 0xff = 0 then 8 else 0 in
+  let b = b lsr q in
+  let n = if b land 0xf = 0 then 4 else 0 in
+  let b = b lsr n in
+  let p = if b land 0x3 = 0 then 2 else 0 in
+  h + q + n + p + ((b lsr p) lsr 1)
+
+(* Evict the selected lines among the valid ones: the lines of bitmap
+   word [wi] whose bits are still set in [w] (a copy taken before any of
+   them was evicted), then those of every later word. Returns [acc] plus
+   their count. *)
+let rec flush_valid t sel a b c wi w acc =
+  if w <> 0 then begin
+    let low = w land -w in
+    let j = ((wi lsl word_shift) lor bit_index low) * fields in
+    if selected t sel j a b c then begin
+      evict_line t j;
+      flush_valid t sel a b c wi (w lxor low) (acc + 1)
+    end
+    else flush_valid t sel a b c wi (w lxor low) acc
+  end
+  else if wi + 1 < Array.length t.valid_bits then
+    flush_valid t sel a b c (wi + 1) (Array.unsafe_get t.valid_bits (wi + 1)) acc
+  else acc
+
 (* Flush the selected lines. When every line the selector can take
    indexes from [first_line] or the [n - 1] lines after it, and [n] is
-   below the set count, only those [n] sets are visited; [n = -1] (the
-   cache indexes by the other address) or a longer range sweeps every
-   line. Returns the flushed-line count; [evict_line] counts the
-   writebacks. *)
+   below the set count, the flush takes the shorter of two walks: those
+   [n] sets' lines, or the valid bits (one step per bitmap word and per
+   valid line). [n = -1] (the cache indexes by the other address) or a
+   longer range always walks the valid bits. Returns the flushed-line
+   count; [evict_line] counts the writebacks. *)
 let flush t sel a b c ~first_line ~n =
   let flushed =
-    if n >= 0 && n < t.nsets then
-      flush_sets t sel a b c (first_line land (t.nsets - 1)) n 0
-    else flush_lines t sel a b c 0 (Array.length t.lines) 0
+    if
+      n >= 0 && n < t.nsets
+      && n * t.ways <= t.live + Array.length t.valid_bits
+    then flush_sets t sel a b c (first_line land (t.nsets - 1)) n 0
+    else flush_valid t sel a b c 0 (Array.unsafe_get t.valid_bits 0) 0
   in
   note_occupancy t;
   flushed

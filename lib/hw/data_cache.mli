@@ -17,7 +17,14 @@ open Sasos_addr
     The cache tracks, per line, the physical line it holds, which lets it
     detect synonyms (one physical line resident under two different tags) —
     the coherence hazard the paper discusses. Detection is a counter, not a
-    crash: MAS workloads are expected to trigger it, SAS workloads never. *)
+    crash: MAS workloads are expected to trigger it, SAS workloads never.
+
+    Flushes cost simulated cycles, billed by the machines, and host time
+    here. The cache keeps one valid bit per line, so a flush need not look
+    at every line: it walks either the sets its lines index to or the
+    valid bits, one step per 32 lines of the cache plus one per valid
+    line. Which lines a flush takes, and so every count and gauge, does
+    not depend on the walk. *)
 
 type org = Vivt | Vipt | Pipt
 
@@ -63,8 +70,10 @@ val flush_va_range : t -> space:int -> lo:Va.t -> hi:Va.t -> int * int
     [(lines_flushed, writebacks)]. Used when unmapping a page. Every
     organization matches the virtual line each line was filled through,
     [Pipt] included. [Vivt] and [Vipt] caches index by that line, so a
-    range of fewer lines than {!sets} visits only the sets it maps to;
-    [Pipt] caches, and longer ranges, check every line. *)
+    range of fewer lines than {!sets} walks the sets it maps to or the
+    valid bits, whichever takes fewer steps (the range's lines times the
+    ways, against the valid lines plus the bitmap's words); [Pipt] caches,
+    and longer ranges, walk the valid bits. *)
 
 val flush_va_range_count : t -> space:int -> lo:Va.t -> hi:Va.t -> int
 (** {!flush_va_range} without the result pair: returns the flushed-line
@@ -72,13 +81,16 @@ val flush_va_range_count : t -> space:int -> lo:Va.t -> hi:Va.t -> int
 
 val flush_pa_page : t -> pfn:int -> page_shift:int -> int * int
 (** Flush every line resident for the given physical page; returns
-    [(lines_flushed, writebacks)]. A [Pipt] cache visits only the sets the
-    page's lines map to when the page has fewer lines than {!sets};
-    otherwise every line is checked.
+    [(lines_flushed, writebacks)]. A [Pipt] cache indexes by the page's
+    lines: when the page has fewer lines than {!sets} it walks their sets
+    or the valid bits, whichever takes fewer steps. [Vivt] and [Vipt]
+    caches, indexed by virtual address, walk the valid bits.
     @raise Invalid_argument if the page is smaller than a line. *)
 
 val flush_all : t -> int * int
-(** Full flush: [(lines, writebacks)]. *)
+(** Full flush: [(lines, writebacks)]. Walks the valid bits, so its host
+    cost follows the valid lines, plus one step per 32 lines of the
+    cache. *)
 
 val resident_copies_of_pa : t -> pa_line:int -> int
 (** Number of lines currently holding the given physical line (>1 means a

@@ -291,9 +291,59 @@ let data_path t kind va e =
     m.Metrics.cache_synonyms <- Data_cache.synonyms_detected t.cache
   end
 
-let access t kind va =
+(* One attempt at the reference; a refill or rights fix restarts it.
+   Top-level recursion, not a local [let rec]: a closure per call would
+   allocate on every hit. *)
+let rec attempt t kind va pd vpn space needed fuel =
   let m = metrics t in
   let c = cost t in
+  if fuel = 0 then
+    failwith "Conv_machine.access: protection fix did not converge";
+  let e = Tlb.lookup t.tlb ~space ~vpn in
+  if e <> Tlb.absent then begin
+    m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
+    if Rights.subset needed (Tlb.rights_of e) then begin
+      data_path t kind va e;
+      Access.Ok
+    end
+    else begin
+      Os_core.kernel_entry t.os;
+      let truth = Os_core.rights t.os pd va in
+      if Rights.subset needed truth then begin
+        (* stale entry: rights were upgraded since the refill *)
+        ignore (Tlb.set_rights t.tlb ~space ~vpn truth);
+        Os_core.charge t.os c.Cost_model.table_op;
+        attempt t kind va pd vpn space needed (fuel - 1)
+      end
+      else begin
+        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+        Access.Protection_fault
+      end
+    end
+  end
+  else begin
+    m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
+    Os_core.kernel_entry t.os;
+    let truth = Os_core.rights t.os pd va in
+    if not (Rights.subset needed truth) then begin
+      m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+      Access.Protection_fault
+    end
+    else begin
+      let pfn = ensure_mapped t vpn in
+      (* per-space linear tables: the walk costs more than the single
+         shared table of a SASOS (§3.1) *)
+      Os_core.charge t.os (2 * c.Cost_model.table_op);
+      Tlb.install t.tlb ~space ~vpn
+        (Tlb.pack ~pfn ~rights:truth ~aid:0 ~dirty:false ~referenced:false);
+      m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
+      Os_core.charge t.os c.Cost_model.tlb_refill;
+      attempt t kind va pd vpn space needed (fuel - 1)
+    end
+  end
+
+let access t kind va =
+  let m = metrics t in
   let g = geom t in
   m.Metrics.accesses <- m.Metrics.accesses + 1;
   (match kind with
@@ -301,55 +351,7 @@ let access t kind va =
   | Access.Read | Access.Execute -> m.Metrics.reads <- m.Metrics.reads + 1);
   let pd = current_domain t in
   let vpn = Va.vpn_of_va g va in
-  let space = space_of t pd in
-  let needed = Access.rights_needed kind in
-  let rec attempt fuel =
-    if fuel = 0 then
-      failwith "Conv_machine.access: protection fix did not converge";
-    let e = Tlb.lookup t.tlb ~space ~vpn in
-    if e <> Tlb.absent then begin
-      m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
-      if Rights.subset needed (Tlb.rights_of e) then begin
-        data_path t kind va e;
-        Access.Ok
-      end
-      else begin
-        Os_core.kernel_entry t.os;
-        let truth = Os_core.rights t.os pd va in
-        if Rights.subset needed truth then begin
-          (* stale entry: rights were upgraded since the refill *)
-          ignore (Tlb.set_rights t.tlb ~space ~vpn truth);
-          Os_core.charge t.os c.Cost_model.table_op;
-          attempt (fuel - 1)
-        end
-        else begin
-          m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-          Access.Protection_fault
-        end
-      end
-    end
-    else begin
-      m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
-      Os_core.kernel_entry t.os;
-      let truth = Os_core.rights t.os pd va in
-      if not (Rights.subset needed truth) then begin
-        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-        Access.Protection_fault
-      end
-      else begin
-        let pfn = ensure_mapped t vpn in
-        (* per-space linear tables: the walk costs more than the single
-           shared table of a SASOS (§3.1) *)
-        Os_core.charge t.os (2 * c.Cost_model.table_op);
-        Tlb.install t.tlb ~space ~vpn
-          (Tlb.pack ~pfn ~rights:truth ~aid:0 ~dirty:false ~referenced:false);
-        m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
-        Os_core.charge t.os c.Cost_model.tlb_refill;
-        attempt (fuel - 1)
-      end
-    end
-  in
-  attempt 4
+  attempt t kind va pd vpn (space_of t pd) (Access.rights_needed kind) 4
 
 let resident_prot_entries_for t va =
   Tlb.entries_for_vpn t.tlb (Va.vpn_of_va (geom t) va)

@@ -585,120 +585,122 @@ let data_path t kind va e =
     m.Metrics.cache_synonyms <- Data_cache.synonyms_detected t.cache
   end
 
-let access t kind va =
+(* One attempt at the reference. Every protection fix restarts the
+   instruction (PA-RISC semantics), so structure probes are re-counted
+   on each attempt. Top-level recursion, not a local [let rec]: a
+   closure per call would allocate on every hit. *)
+let rec attempt t kind va vpn needed fuel =
   let m = metrics t in
   let c = cost t in
+  if fuel = 0 then
+    failwith "Pg_machine.access: protection fix did not converge";
+  Os_core.charge t.os c.Cost_model.pg_sequential_penalty;
+  let e = Tlb.lookup t.tlb ~space:0 ~vpn in
+  if e = Tlb.absent then begin
+    m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
+    Os_core.kernel_entry t.os;
+    let pd = current_domain t in
+    let truth = Os_core.rights t.os pd va in
+    if
+      (not (Os_core.is_resident t.os ~vpn))
+      && not (Rights.subset needed truth)
+    then begin
+      (* no translation and no right to create one: fault without
+         paging in *)
+      m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+      Access.Protection_fault
+    end
+    else begin
+      let pfn = ensure_mapped t vpn in
+      let aid, rights = page_protection t vpn in
+      Tlb.install t.tlb ~space:0 ~vpn
+        (Tlb.pack ~pfn ~rights ~aid ~dirty:false ~referenced:false);
+      m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
+      Os_core.charge t.os c.Cost_model.tlb_refill;
+      attempt t kind va vpn needed (fuel - 1)
+    end
+  end
+  else begin
+    m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
+    let eaid = Tlb.aid_of e in
+    let chk = Page_group_cache.check_bits t.pgc ~aid:eaid in
+    if chk >= 0 then begin
+      let write_disabled = chk = 1 in
+      if eaid <> 0 then m.Metrics.pg_hits <- m.Metrics.pg_hits + 1;
+      let erights = Tlb.rights_of e in
+      let effective =
+        if write_disabled then Rights.remove erights Rights.w else erights
+      in
+      if Rights.subset needed effective then begin
+        data_path t kind va e;
+        Access.Ok
+      end
+      else begin
+        Os_core.kernel_entry t.os;
+        let pd = current_domain t in
+        let truth = Os_core.rights t.os pd va in
+        if not (Rights.subset needed truth) then begin
+          m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+          Access.Protection_fault
+        end
+        else begin
+          (* the hardware under-allows: refresh the stale TLB entry,
+             or regroup when the pattern is inexpressible *)
+          let aid', rights' = page_protection t vpn in
+          if aid' <> eaid || not (Rights.equal rights' erights) then
+            refresh_tlb_entry t vpn
+          else regroup_page t ~priority:pd vpn;
+          (* the refresh/regroup may have rewritten the entry's AID in
+             place; the write-disable fix-up below must see the current
+             value, as the hardware would *)
+          let cur = Tlb.peek t.tlb ~space:0 ~vpn in
+          let cur_aid = if cur = Tlb.absent then eaid else Tlb.aid_of cur in
+          (* write-disable bit for this domain may also be stale *)
+          (match domain_has_group t (Pd.to_int pd) cur_aid with
+          | Some wd when wd <> write_disabled ->
+              ignore
+                (Page_group_cache.set_write_disable t.pgc ~aid:cur_aid wd)
+          | Some _ | None -> ());
+          attempt t kind va vpn needed (fuel - 1)
+        end
+      end
+    end
+    else begin
+      m.Metrics.pg_misses <- m.Metrics.pg_misses + 1;
+      Os_core.kernel_entry t.os;
+      let pd = current_domain t in
+      match domain_has_group t (Pd.to_int pd) eaid with
+      | Some wd ->
+          Page_group_cache.load t.pgc ~aid:eaid ~write_disabled:wd;
+          m.Metrics.pg_refills <- m.Metrics.pg_refills + 1;
+          Os_core.charge t.os c.Cost_model.pg_refill;
+          attempt t kind va vpn needed (fuel - 1)
+      | None -> begin
+          let truth = Os_core.rights t.os pd va in
+          if Rights.subset needed truth then begin
+            (* the domain's pattern is not represented: move the page
+               into a group of its own pattern and restart *)
+            regroup_page t ~priority:pd vpn;
+            refresh_tlb_entry t vpn;
+            attempt t kind va vpn needed (fuel - 1)
+          end
+          else begin
+            m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+            Access.Protection_fault
+          end
+        end
+    end
+  end
+
+let access t kind va =
+  let m = metrics t in
   let g = geom t in
   m.Metrics.accesses <- m.Metrics.accesses + 1;
   (match kind with
   | Access.Write -> m.Metrics.writes <- m.Metrics.writes + 1
   | Access.Read | Access.Execute -> m.Metrics.reads <- m.Metrics.reads + 1);
   let vpn = Va.vpn_of_va g va in
-  let needed = Access.rights_needed kind in
-  (* every protection fix restarts the instruction (PA-RISC semantics), so
-     structure probes are re-counted on each attempt *)
-  let rec attempt fuel =
-    if fuel = 0 then
-      failwith "Pg_machine.access: protection fix did not converge";
-    Os_core.charge t.os c.Cost_model.pg_sequential_penalty;
-    let e = Tlb.lookup t.tlb ~space:0 ~vpn in
-    if e = Tlb.absent then begin
-      m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
-      Os_core.kernel_entry t.os;
-      let pd = current_domain t in
-      let truth = Os_core.rights t.os pd va in
-      if
-        (not (Os_core.is_resident t.os ~vpn))
-        && not (Rights.subset needed truth)
-      then begin
-        (* no translation and no right to create one: fault without
-           paging in *)
-        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-        Access.Protection_fault
-      end
-      else begin
-        let pfn = ensure_mapped t vpn in
-        let aid, rights = page_protection t vpn in
-        Tlb.install t.tlb ~space:0 ~vpn
-          (Tlb.pack ~pfn ~rights ~aid ~dirty:false ~referenced:false);
-        m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
-        Os_core.charge t.os c.Cost_model.tlb_refill;
-        attempt (fuel - 1)
-      end
-    end
-    else begin
-      m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
-      let eaid = Tlb.aid_of e in
-      let chk = Page_group_cache.check_bits t.pgc ~aid:eaid in
-      if chk >= 0 then begin
-        let write_disabled = chk = 1 in
-        if eaid <> 0 then m.Metrics.pg_hits <- m.Metrics.pg_hits + 1;
-        let erights = Tlb.rights_of e in
-        let effective =
-          if write_disabled then Rights.remove erights Rights.w else erights
-        in
-        if Rights.subset needed effective then begin
-          data_path t kind va e;
-          Access.Ok
-        end
-        else begin
-          Os_core.kernel_entry t.os;
-          let pd = current_domain t in
-          let truth = Os_core.rights t.os pd va in
-          if not (Rights.subset needed truth) then begin
-            m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-            Access.Protection_fault
-          end
-          else begin
-            (* the hardware under-allows: refresh the stale TLB entry,
-               or regroup when the pattern is inexpressible *)
-            let aid', rights' = page_protection t vpn in
-            if aid' <> eaid || not (Rights.equal rights' erights) then
-              refresh_tlb_entry t vpn
-            else regroup_page t ~priority:pd vpn;
-            (* the refresh/regroup may have rewritten the entry's AID in
-               place; the write-disable fix-up below must see the current
-               value, as the hardware would *)
-            let cur = Tlb.peek t.tlb ~space:0 ~vpn in
-            let cur_aid = if cur = Tlb.absent then eaid else Tlb.aid_of cur in
-            (* write-disable bit for this domain may also be stale *)
-            (match domain_has_group t (Pd.to_int pd) cur_aid with
-            | Some wd when wd <> write_disabled ->
-                ignore
-                  (Page_group_cache.set_write_disable t.pgc ~aid:cur_aid wd)
-            | Some _ | None -> ());
-            attempt (fuel - 1)
-          end
-        end
-      end
-      else begin
-        m.Metrics.pg_misses <- m.Metrics.pg_misses + 1;
-        Os_core.kernel_entry t.os;
-        let pd = current_domain t in
-        match domain_has_group t (Pd.to_int pd) eaid with
-        | Some wd ->
-            Page_group_cache.load t.pgc ~aid:eaid ~write_disabled:wd;
-            m.Metrics.pg_refills <- m.Metrics.pg_refills + 1;
-            Os_core.charge t.os c.Cost_model.pg_refill;
-            attempt (fuel - 1)
-        | None -> begin
-            let truth = Os_core.rights t.os pd va in
-            if Rights.subset needed truth then begin
-              (* the domain's pattern is not represented: move the page
-                 into a group of its own pattern and restart *)
-              regroup_page t ~priority:pd vpn;
-              refresh_tlb_entry t vpn;
-              attempt (fuel - 1)
-            end
-            else begin
-              m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-              Access.Protection_fault
-            end
-          end
-      end
-    end
-  in
-  attempt 8
+  attempt t kind va vpn (Access.rights_needed kind) 8
 
 (* --- introspection ---------------------------------------------------- *)
 

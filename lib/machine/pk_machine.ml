@@ -445,87 +445,89 @@ let data_path t kind va e =
     m.Metrics.cache_synonyms <- Data_cache.synonyms_detected t.cache
   end
 
-let access t kind va =
+(* One attempt at the reference; a key fix restarts it. Top-level
+   recursion, not a local [let rec]: a closure per call would allocate on
+   every hit. *)
+let rec attempt t kind va pd vpn u needed fuel =
   let m = metrics t in
   let c = cost t in
+  if fuel = 0 then
+    failwith "Pk_machine.access: protection fix did not converge";
+  let e = Tlb.lookup t.tlb ~space:0 ~vpn in
+  if e <> Tlb.absent then begin
+    m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
+    let granted =
+      Key_regs.get t.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e)
+    in
+    if Rights.subset needed granted then begin
+      data_path t kind va e;
+      Access.Ok
+    end
+    else begin
+      (* the key check failed: trap, consult the truth *)
+      Os_core.kernel_entry t.os;
+      let truth = Os_core.rights t.os pd va in
+      if not (Rights.subset needed truth) then begin
+        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+        Access.Protection_fault
+      end
+      else begin
+        let k = ensure_key t u in
+        let e' = Tlb.peek t.tlb ~space:0 ~vpn in
+        if e' = Tlb.absent then
+          (* the fix recycled this very entry's key: refill *)
+          attempt t kind va pd vpn u needed (fuel - 1)
+        else begin
+          if Tlb.aid_of e' <> k then begin
+            ignore
+              (Tlb.set_protection t.tlb ~space:0 ~vpn ~aid:k
+                 ~rights:Rights.rwx);
+            Os_core.charge t.os c.Cost_model.table_op
+          end;
+          if k = trap_key then begin
+            (* exhausted under [`Trap]: the kernel mediates the access
+               through the always-deny key; the next access traps again *)
+            data_path t kind va (Tlb.peek t.tlb ~space:0 ~vpn);
+            Access.Ok
+          end
+          else attempt t kind va pd vpn u needed (fuel - 1)
+        end
+      end
+    end
+  end
+  else begin
+    m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
+    Os_core.kernel_entry t.os;
+    let truth = Os_core.rights t.os pd va in
+    if not (Rights.subset needed truth) then begin
+      (* no rights: fault without paging in *)
+      m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
+      Access.Protection_fault
+    end
+    else begin
+      let pfn = ensure_mapped t vpn in
+      let k = ensure_key t u in
+      (* one shared translation table: a single walk suffices (§3.1) *)
+      Os_core.charge t.os c.Cost_model.table_op;
+      Tlb.install t.tlb ~space:0 ~vpn
+        (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:k ~dirty:false
+           ~referenced:false);
+      m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
+      Os_core.charge t.os c.Cost_model.tlb_refill;
+      attempt t kind va pd vpn u needed (fuel - 1)
+    end
+  end
+
+let access t kind va =
+  let m = metrics t in
   let g = geom t in
   m.Metrics.accesses <- m.Metrics.accesses + 1;
   (match kind with
   | Access.Write -> m.Metrics.writes <- m.Metrics.writes + 1
   | Access.Read | Access.Execute -> m.Metrics.reads <- m.Metrics.reads + 1);
-  let pd = current_domain t in
   let vpn = Va.vpn_of_va g va in
-  let u = Os_core.prot_unit t.os va in
-  let needed = Access.rights_needed kind in
-  let rec attempt fuel =
-    if fuel = 0 then
-      failwith "Pk_machine.access: protection fix did not converge";
-    let e = Tlb.lookup t.tlb ~space:0 ~vpn in
-    if e <> Tlb.absent then begin
-      m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
-      let granted =
-        Key_regs.get t.regs ~pd:(Pd.to_int pd) ~key:(Tlb.aid_of e)
-      in
-      if Rights.subset needed granted then begin
-        data_path t kind va e;
-        Access.Ok
-      end
-      else begin
-        (* the key check failed: trap, consult the truth *)
-        Os_core.kernel_entry t.os;
-        let truth = Os_core.rights t.os pd va in
-        if not (Rights.subset needed truth) then begin
-          m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-          Access.Protection_fault
-        end
-        else begin
-          let k = ensure_key t u in
-          let e' = Tlb.peek t.tlb ~space:0 ~vpn in
-          if e' = Tlb.absent then
-            (* the fix recycled this very entry's key: refill *)
-            attempt (fuel - 1)
-          else begin
-            if Tlb.aid_of e' <> k then begin
-              ignore
-                (Tlb.set_protection t.tlb ~space:0 ~vpn ~aid:k
-                   ~rights:Rights.rwx);
-              Os_core.charge t.os c.Cost_model.table_op
-            end;
-            if k = trap_key then begin
-              (* exhausted under [`Trap]: the kernel mediates the access
-                 through the always-deny key; the next access traps again *)
-              data_path t kind va (Tlb.peek t.tlb ~space:0 ~vpn);
-              Access.Ok
-            end
-            else attempt (fuel - 1)
-          end
-        end
-      end
-    end
-    else begin
-      m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
-      Os_core.kernel_entry t.os;
-      let truth = Os_core.rights t.os pd va in
-      if not (Rights.subset needed truth) then begin
-        (* no rights: fault without paging in *)
-        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-        Access.Protection_fault
-      end
-      else begin
-        let pfn = ensure_mapped t vpn in
-        let k = ensure_key t u in
-        (* one shared translation table: a single walk suffices (§3.1) *)
-        Os_core.charge t.os c.Cost_model.table_op;
-        Tlb.install t.tlb ~space:0 ~vpn
-          (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:k ~dirty:false
-             ~referenced:false);
-        m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
-        Os_core.charge t.os c.Cost_model.tlb_refill;
-        attempt (fuel - 1)
-      end
-    end
-  in
-  attempt 8
+  attempt t kind va (current_domain t) vpn (Os_core.prot_unit t.os va)
+    (Access.rights_needed kind) 8
 
 (* Like the page-group machine, a shared page costs one TLB entry no
    matter how many domains reach it — the §3.1 duplication win. *)

@@ -179,9 +179,13 @@ let gen_case =
   let* org = oneofl Data_cache.[ Vivt; Vipt; Pipt ] in
   let* policy = oneofl Replacement.[ Lru; Fifo; Random ] in
   let* line_shift = oneofl [ 4; 5 ] in
-  let* sets = oneofl [ 1; 2; 8; 32 ] in
+  (* 256 sets hold far more lines than a case fills, so short flushes
+     meet low occupancy and take the valid-bit walk instead of the set
+     walk *)
+  let* sets = oneofl [ 1; 2; 8; 32; 256 ] in
   let* ways = oneofl [ 1; 2; 4 ] in
-  (* from one line per page up to 64, past every set count above *)
+  (* from one line per page up to 64, past every set count above but
+     256 *)
   let* page_shift = map (( + ) line_shift) (oneofl [ 0; 1; 3; 6 ]) in
   let line = 1 lsl line_shift in
   (* virtual lines near 0 and far up, so set-indexed flushes wrap *)

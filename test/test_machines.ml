@@ -679,6 +679,28 @@ let test_build_allocation v () =
     (Printf.sprintf "%.0f words <= 40,000" words)
     true (words <= 40_000.)
 
+(* A warm read hit walks only the protection structure, the TLB and the
+   data cache, and must allocate nothing on any machine. *)
+let test_warm_hits_allocate_nothing v () =
+  let sys = mk v in
+  let d = System_ops.new_domain sys in
+  let seg = System_ops.new_segment sys ~pages:4 () in
+  System_ops.attach sys d seg Rights.rw;
+  System_ops.switch_domain sys d;
+  let va = Segment.page_va seg 1 in
+  let hits () =
+    for i = 0 to 9_999 do
+      ignore (Sys.opaque_identity (System_ops.read sys (va + (i land 7))))
+    done
+  in
+  hits ();
+  let cache_hits () = (System_ops.metrics sys).Metrics.cache_hits in
+  let h0 = cache_hits () in
+  let words = Test_data_cache.minor_words_in hits in
+  Alcotest.(check int) "every read hits the cache" 10_000 (cache_hits () - h0);
+  Alcotest.(check (float 0.)) "minor words over 10,000 warm read hits" 0.
+    words
+
 (* Whole-run goldens: a seeded 600-op conformance script on a small
    machine (8 frames under 12 pages, 2x2 PLB, 2x4 TLB, 4-entry page-group
    cache), so paging, evictions, purges and rights rewrites all run. The
@@ -799,6 +821,12 @@ let suite =
           (Printf.sprintf "default build allocates <= 40K words [%s]" label)
           `Quick (test_build_allocation v))
       variants
+  @ List.map
+      (fun (label, v) ->
+        Alcotest.test_case
+          (Printf.sprintf "warm read hits allocate nothing [%s]" label)
+          `Quick (test_warm_hits_allocate_nothing v))
+      Machines.all
   @ List.map
       (fun (label, v) ->
         Alcotest.test_case
