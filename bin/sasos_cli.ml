@@ -253,15 +253,19 @@ let trace_record_cmd =
         in
         w.Sasos.Workloads.Registry.run sys;
         let events = Sasos.Trace.Recorder.events r in
-        Sasos.Trace.Store.save out
-          ~header:
-            (Printf.sprintf "sasos trace: workload=%s machine=%s" wname
-               (Sasos.Machines.to_string machine))
-          events;
-        Format.printf "%a@.-> %s@." Sasos.Trace.Stats.pp
-          (Sasos.Trace.Stats.of_events events)
-          out;
-        `Ok ()
+        match
+          Sasos.Trace.Store.save out
+            ~header:
+              (Printf.sprintf "sasos trace: workload=%s machine=%s" wname
+                 (Sasos.Machines.to_string machine))
+            events
+        with
+        | exception Sys_error msg -> `Error (false, msg)
+        | () ->
+            Format.printf "%a@.-> %s@." Sasos.Trace.Stats.pp
+              (Sasos.Trace.Stats.of_events events)
+              out;
+            `Ok ()
   in
   Cmd.v
     (Cmd.info "record" ~doc)
@@ -770,9 +774,18 @@ let check_cmd =
               (List.length files) (List.length bad);
             if bad = [] then `Ok () else Stdlib.exit 1
       end
-    | None ->
-        if jobs < 1 then `Error (false, "--jobs must be >= 1")
-        else begin
+    | None -> (
+        match
+          List.find_opt
+            (fun (_, n) -> n < 1)
+            [
+              ("--jobs", jobs); ("--ops", ops); ("--scripts", scripts);
+              ("--domains", domains); ("--segments", segments);
+              ("--pages", pages);
+            ]
+        with
+        | Some (flag, _) -> `Error (false, flag ^ " must be >= 1")
+        | None -> begin
           match
             match mutate with
             | None -> Ok None
@@ -834,7 +847,7 @@ let check_cmd =
           | None, _ -> ());
           if Sasos.Check.Harness.failed report then Stdlib.exit 1
           else `Ok ()
-        end
+        end)
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(

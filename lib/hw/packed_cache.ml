@@ -6,6 +6,11 @@ let absent = -1
    k1), so a free slot can never alias a live key. *)
 let free_key = min_int
 
+(* Sets of at most this many ways are walked; wider sets probe the slot
+   index. Fixed by the ways sweep in EXPERIMENTS.md "Wide sets probe an
+   index". *)
+let walk_max_ways = 8
+
 type t = {
   p_policy : Replacement.t;
   (* splitmix int state for Random victim draws; steps in lockstep with
@@ -18,6 +23,15 @@ type t = {
   keys2 : int array;
   vals : int array;
   stamps : int array; (* recency for LRU, insertion order for FIFO *)
+  (* Slot index, present when [p_ways > walk_max_ways]: an open-addressing
+     table from (set, k1, k2) to the slot holding them, [-1] = empty. Its
+     2^k positions are at least twice the slots, so a probe always meets
+     an empty position. Narrow caches carry empty arrays. *)
+  wide : bool;
+  ix : int array;
+  homes : int array; (* per live slot: its home position in [ix] *)
+  ix_mask : int; (* 2^k - 1 *)
+  ix_shift : int; (* 63 - k: a mixed key's top k bits are its home *)
   mutable p_tick : int;
   mutable p_hits : int;
   mutable p_misses : int;
@@ -33,6 +47,8 @@ let create ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways () =
   if sets < 1 || ways < 1 then
     invalid_arg "Packed_cache.create: sets and ways must be >= 1";
   let n = sets * ways in
+  let wide = ways > walk_max_ways in
+  let k = if wide then Sasos_util.Bits.ceil_log2 (2 * n) else 0 in
   {
     p_policy = policy;
     p_rand = Sasos_util.Prng.Split.init seed;
@@ -42,6 +58,11 @@ let create ?(policy = Replacement.Lru) ?(seed = 0x5a505) ~sets ~ways () =
     keys2 = Array.make n 0;
     vals = Array.make n 0;
     stamps = Array.make n 0;
+    wide;
+    ix = (if wide then Array.make (1 lsl k) (-1) else [||]);
+    homes = (if wide then Array.make n 0 else [||]);
+    ix_mask = (1 lsl k) - 1;
+    ix_shift = 63 - k;
     p_tick = 0;
     p_hits = 0;
     p_misses = 0;
@@ -99,27 +120,83 @@ let rec scan_min_stamp (stamps : int array) j limit best best_stamp =
     if s < best_stamp then scan_min_stamp stamps (j + 1) limit j s
     else scan_min_stamp stamps (j + 1) limit best best_stamp
 
-(* Workers on a set base. Each public operation below takes a hash,
-   computes the base of its set and calls one of these. *)
+(* The slot index. A key's home is the top bits of a multiplicative mix
+   of (set, k1, k2); collisions probe linearly. Keying by the set as well
+   makes a probe return the slot the set walk would, whatever hash the
+   caller supplies. *)
 
-let base_of p ~hash = set_of_hash p.p_sets hash * p.p_ways
+let[@inline] ix_home shift set k1 k2 =
+  (((k1 * 0x2545f4914f6cdd1d) lxor (k2 * 0x1b873593) lxor set)
+   * 0x3c6ef372fe94f82b)
+  lsr shift
 
-(* the bare scan: slot index of (k1, k2) in the set at [base], -1 when
-   absent; no statistics, no recency *)
-let index_at p ~base ~k1 ~k2 =
-  scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
+(* Position holding the slot of (k1, k2) within slots [base, limit), or
+   [-1 - e] for the empty position [e] that ends the probe. Unsafe
+   accesses: positions are masked and stored slots are live. *)
+let rec ix_probe (ix : int array) (keys1 : int array) (keys2 : int array)
+    mask k1 k2 base limit pos =
+  let s = Array.unsafe_get ix pos in
+  if s < 0 then -1 - pos
+  else if
+    Array.unsafe_get keys1 s lxor k1 lor (Array.unsafe_get keys2 s lxor k2)
+    = 0
+    && s >= base && s < limit
+  then pos
+  else ix_probe ix keys1 keys2 mask k1 k2 base limit ((pos + 1) land mask)
 
-let find_at p ~base ~k1 ~k2 =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
+let rec ix_position (ix : int array) mask j pos =
+  if Array.unsafe_get ix pos = j then pos
+  else ix_position ix mask j ((pos + 1) land mask)
+
+(* Backward-shift deletion: [hole] has been vacated. Each later entry of
+   the probe run moves back into it unless its home lies cyclically in
+   (hole, pos], where a probe for it would still start past the hole. *)
+let rec ix_close (ix : int array) (homes : int array) mask hole pos =
+  let pos = (pos + 1) land mask in
+  let s = Array.unsafe_get ix pos in
+  if s < 0 then Array.unsafe_set ix hole (-1)
+  else if (pos - Array.unsafe_get homes s) land mask >= (pos - hole) land mask
+  then begin
+    Array.unsafe_set ix hole s;
+    ix_close ix homes mask pos pos
+  end
+  else ix_close ix homes mask hole pos
+
+(* Take slot [j], entered from [home], out of the index. *)
+let ix_drop p j home =
+  let pos = ix_position p.ix p.ix_mask j home in
+  ix_close p.ix p.homes p.ix_mask pos pos
+
+(* The one lookup behind every keyed operation: the slot of (k1, k2) in
+   [set], or a negative miss; no statistics, no recency. Wide sets probe
+   the index, and a miss there is [-1 - e], [e] the empty position where
+   the key would enter; narrow sets walk their ways and miss with -1. *)
+let[@inline] slot_in p set k1 k2 =
+  let base = set * p.p_ways in
+  if p.wide then
+    let pos =
+      ix_probe p.ix p.keys1 p.keys2 p.ix_mask k1 k2 base (base + p.p_ways)
+        (ix_home p.ix_shift set k1 k2)
+    in
+    if pos < 0 then pos else Array.unsafe_get p.ix pos
+  else scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways)
+
+let[@inline] slot_of p ~hash ~k1 ~k2 = slot_in p (set_of_hash p.p_sets hash) k1 k2
+
+let[@inline] touch p j =
+  (* pattern match, not [=]: polymorphic equality on the variant is a
+     runtime call on the hottest path *)
+  match p.p_policy with
+  | Replacement.Lru ->
+      p.p_tick <- p.p_tick + 1;
+      p.stamps.(j) <- p.p_tick
+  | Replacement.Fifo | Replacement.Random -> ()
+
+let find p ~hash ~k1 ~k2 =
+  let j = slot_of p ~hash ~k1 ~k2 in
   if j >= 0 then begin
     p.p_hits <- p.p_hits + 1;
-    (* pattern match, not [=]: polymorphic equality on the variant is
-       a runtime call on the hottest path *)
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
+    touch p j;
     Array.unsafe_get p.vals j
   end
   else begin
@@ -127,9 +204,11 @@ let find_at p ~base ~k1 ~k2 =
     absent
   end
 
-let peek_at p ~base ~k1 ~k2 =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
+let peek p ~hash ~k1 ~k2 =
+  let j = slot_of p ~hash ~k1 ~k2 in
   if j >= 0 then Array.unsafe_get p.vals j else absent
+
+let mem p ~hash ~k1 ~k2 = slot_of p ~hash ~k1 ~k2 >= 0
 
 let victim p base =
   (* precondition: the row is full, so every slot is valid *)
@@ -140,25 +219,29 @@ let victim p base =
   | Replacement.Lru | Replacement.Fifo ->
       scan_min_stamp p.stamps base (base + p.p_ways) base max_int
 
-let insert_at p ~base ~k1 ~k2 v =
+let insert p ~hash ~k1 ~k2 v =
+  if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
   if k1 < 0 then invalid_arg "Packed_cache.insert: key1 must be >= 0";
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
+  let set = set_of_hash p.p_sets hash in
+  let j = slot_in p set k1 k2 in
   if j >= 0 then begin
     p.vals.(j) <- v;
     (* re-installing is a touch under LRU; FIFO keeps insertion order *)
-    (match p.p_policy with
-    | Replacement.Lru ->
-        p.p_tick <- p.p_tick + 1;
-        p.stamps.(j) <- p.p_tick
-    | Replacement.Fifo | Replacement.Random -> ());
+    touch p j;
     p.ev_some <- false
   end
   else begin
-    let free = scan_free p.keys1 base (base + p.p_ways) in
+    let base = set * p.p_ways in
+    (* a full cache has no free way in any set *)
+    let free =
+      if p.p_length = capacity p then -1
+      else scan_free p.keys1 base (base + p.p_ways)
+    in
     (* the fresh stamp is drawn before the victim choice, matching the
        reference model's tick ordering exactly *)
     p.p_tick <- p.p_tick + 1;
     let stamp = p.p_tick in
+    let vacancy = -1 - j in
     let j =
       if free >= 0 then begin
         p.p_length <- p.p_length + 1;
@@ -178,39 +261,43 @@ let insert_at p ~base ~k1 ~k2 v =
     p.keys1.(j) <- k1;
     p.keys2.(j) <- k2;
     p.vals.(j) <- v;
-    p.stamps.(j) <- stamp
+    p.stamps.(j) <- stamp;
+    if p.wide then begin
+      (* Enter the new key where its probe stopped, then drop the victim.
+         The table has room for both, and the new entry cannot lie
+         between the victim's home and position (every position there
+         was full), so [ix_drop] finds the victim's entry. *)
+      let victim_home = p.homes.(j) in
+      p.ix.(vacancy) <- j;
+      p.homes.(j) <- ix_home p.ix_shift set k1 k2;
+      if free < 0 then ix_drop p j victim_home
+    end
   end
 
-let set_masked_at p ~base ~k1 ~k2 ~mask ~bits =
-  let j = scan_match p.keys1 p.keys2 k1 k2 base (base + p.p_ways) in
+let last_eviction p = if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
+
+let set_masked p ~hash ~k1 ~k2 ~mask ~bits =
+  let j = slot_of p ~hash ~k1 ~k2 in
   if j >= 0 then begin
     p.vals.(j) <- (p.vals.(j) land lnot mask) lor bits;
     true
   end
   else false
 
-let find p ~hash ~k1 ~k2 = find_at p ~base:(base_of p ~hash) ~k1 ~k2
-let peek p ~hash ~k1 ~k2 = peek_at p ~base:(base_of p ~hash) ~k1 ~k2
-let mem p ~hash ~k1 ~k2 = peek p ~hash ~k1 ~k2 >= 0
-
-let insert p ~hash ~k1 ~k2 v =
-  if v < 0 then invalid_arg "Packed_cache.insert: payload must be >= 0";
-  insert_at p ~base:(base_of p ~hash) ~k1 ~k2 v
-
-let last_eviction p = if p.ev_some then Some (p.ev_k1, p.ev_k2, p.ev_v) else None
-
-let set_masked p ~hash ~k1 ~k2 ~mask ~bits =
-  set_masked_at p ~base:(base_of p ~hash) ~k1 ~k2 ~mask ~bits
-
 let set p ~hash ~k1 ~k2 v =
   if v < 0 then invalid_arg "Packed_cache.set: payload must be >= 0";
   set_masked p ~hash ~k1 ~k2 ~mask:(-1) ~bits:v
 
+(* Free the live slot [j]. *)
+let vacate p j =
+  if p.wide then ix_drop p j p.homes.(j);
+  p.keys1.(j) <- free_key;
+  p.p_length <- p.p_length - 1
+
 let remove p ~hash ~k1 ~k2 =
-  let j = index_at p ~base:(base_of p ~hash) ~k1 ~k2 in
+  let j = slot_of p ~hash ~k1 ~k2 in
   if j >= 0 then begin
-    p.keys1.(j) <- free_key;
-    p.p_length <- p.p_length - 1;
+    vacate p j;
     true
   end
   else false
@@ -221,8 +308,7 @@ let purge p pred =
     if p.keys1.(j) <> free_key then begin
       incr inspected;
       if pred p.keys1.(j) p.keys2.(j) p.vals.(j) then begin
-        p.keys1.(j) <- free_key;
-        p.p_length <- p.p_length - 1;
+        vacate p j;
         incr removed
       end
     end
@@ -246,8 +332,12 @@ let rewrite p f =
 
 let clear p =
   let dropped = p.p_length in
-  Array.fill p.keys1 0 (Array.length p.keys1) free_key;
-  p.p_length <- 0;
+  (* an empty cache has every slot free and an empty index already *)
+  if dropped > 0 then begin
+    Array.fill p.keys1 0 (Array.length p.keys1) free_key;
+    if p.wide then Array.fill p.ix 0 (Array.length p.ix) (-1);
+    p.p_length <- 0
+  end;
   dropped
 
 let iter f p =
@@ -259,6 +349,33 @@ let fold f t init =
   let acc = ref init in
   iter (fun k1 k2 v -> acc := f k1 k2 v !acc) t;
   !acc
+
+let well_formed p =
+  (not p.wide)
+  ||
+  let n = capacity p in
+  let entered = Array.make n 0 in
+  Array.iter (fun s -> if s >= 0 && s < n then entered.(s) <- entered.(s) + 1) p.ix;
+  (* every position from [pos] up to [stop] is occupied *)
+  let rec run_full pos stop =
+    pos = stop || (p.ix.(pos) >= 0 && run_full ((pos + 1) land p.ix_mask) stop)
+  in
+  let entry_ok pos s =
+    s < 0
+    || s < n
+       && p.keys1.(s) <> free_key
+       && p.homes.(s) = ix_home p.ix_shift (s / p.p_ways) p.keys1.(s) p.keys2.(s)
+       && run_full p.homes.(s) pos
+  in
+  let rec entries_ok pos =
+    pos > p.ix_mask || (entry_ok pos p.ix.(pos) && entries_ok (pos + 1))
+  in
+  let rec slots_ok j =
+    j = n
+    || entered.(j) = (if p.keys1.(j) = free_key then 0 else 1)
+       && slots_ok (j + 1)
+  in
+  entries_ok 0 && slots_ok 0
 
 let hits p = p.p_hits
 let misses p = p.p_misses

@@ -15,12 +15,48 @@
     which is what makes an allocation-free [find] possible ([Some v] would
     allocate).
 
+    {b Finding a key.} The paper's PLB and TLB are searched in parallel
+    by hardware; here every keyed operation ({!find}, {!peek}, {!mem},
+    {!set}, {!set_masked}, {!remove}, {!insert}) first looks the key up in
+    its set in one of two ways, chosen at {!create} from the set width:
+
+    - Sets of at most {!walk_max_ways} ways are {e walked}: one pass over
+      the set's ways, which costs time linear in the ways touched and no
+      memory beyond the lanes.
+    - Wider sets {e probe a slot index}: an open-addressing table from
+      (set, k1, k2) to slot, with linear probing and backward-shift
+      deletion, sized to the next power of two at least twice the
+      capacity, beside each slot's home position (199 words for a
+      64-entry cache). A lookup costs O(1) expected probes whatever the
+      width. {!insert}, {!remove}, {!purge} and {!clear} keep the table
+      up to date, so a fill or an eviction costs a few probes on top of
+      the lookup, and an evicting insert still walks the set for its
+      victim.
+
+    Measured on a 2-vCPU Xeon VM (EXPERIMENTS.md), a lookup that walks
+    8 ways costs about 30 ns on a hit and 16 ns on a miss, and one that
+    walks 64 ways 55 and 92 ns; a probe costs about 15 and 28 ns at any
+    width. Keeping the index costs an evicting insert about 40 ns more
+    than the walk at 8 to 32 ways; at 64 the cheaper lookup repays it.
+
+    The index is keyed by the set as well as the key, so a probe returns
+    the slot the walk would for any caller hash. Either way, {!insert}
+    fills the lowest free way of the set or evicts the policy's victim, so
+    placement, victims, statistics and iteration order do not depend on
+    which lookup ran. At the default geometry (1×64 TLB and PLB, 16-entry
+    page-group cache) every structure probes; 4-way sets walk.
+
     This is the only implementation. The boxed reference model it is
     checked against, a generic set-associative cache with [option]
     returns, lives under [test/] and is driven op by op in lockstep with
     this one by [test/test_packed_cache.ml]. *)
 
 type t
+
+val walk_max_ways : int
+(** Sets with at most this many ways are walked; wider ones probe the
+    slot index. A constant, fixed by a sweep over 4–64 ways (see
+    EXPERIMENTS.md, "Wide sets probe an index"). *)
 
 val create :
   ?policy:Replacement.t ->
@@ -92,6 +128,12 @@ val iter : (int -> int -> int -> unit) -> t -> unit
 (** [f k1 k2 payload] per resident entry, in set-major order. *)
 
 val fold : (int -> int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+
+val well_formed : t -> bool
+(** The slot index agrees with the lanes: each live slot is entered once,
+    from the home its keys hash to, with no empty position between that
+    home and the entry; nothing else is entered. True for a cache that
+    walks. For the tests; allocates. *)
 
 val hits : t -> int
 val misses : t -> int

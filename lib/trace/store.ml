@@ -29,15 +29,14 @@ let save path ?header events =
       output_string oc (to_string events))
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      of_string s)
-
-let load_exn path =
-  match load path with
-  | Ok events -> events
-  | Error msg -> invalid_arg ("Store.load: " ^ msg)
+  match open_in path with
+  | exception Sys_error msg -> Error msg (* "<path>: <reason>" *)
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | exception Sys_error msg -> Error (path ^ ": " ^ msg)
+      | exception End_of_file -> Error (path ^ ": truncated while reading")
+      | s -> of_string s)

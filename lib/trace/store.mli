@@ -7,10 +7,8 @@ val save : string -> ?header:string -> Event.t list -> unit
     @raise Sys_error on I/O failure. *)
 
 val load : string -> (Event.t list, string) result
-(** Read a trace; [Error] names the offending line. *)
-
-val load_exn : string -> Event.t list
-(** @raise Invalid_argument on a malformed trace, [Sys_error] on I/O. *)
+(** Read a trace; [Error] names the offending line of a malformed trace,
+    or the path when the file cannot be opened or read. *)
 
 val to_string : Event.t list -> string
 val of_string : string -> (Event.t list, string) result

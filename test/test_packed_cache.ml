@@ -3,10 +3,12 @@
    model) in lockstep. Random op sequences over all three policies and
    several geometries — including the degenerate 1×1 and a large one —
    must produce identical results op by op AND identical statistics and
-   contents at every step. The key generator deliberately includes the
-   min_int hash class (the [Assoc_cache.set_of] adversary): keys whose
-   mixed hash lands on negative ints exercise the sign-mask in the
-   packed set indexing. *)
+   contents at every step. The geometries sit on both sides of
+   [Packed_cache.walk_max_ways], so both the set walk and the slot index
+   run, and the index must stay well formed after every op. The key
+   generator deliberately includes the min_int hash class (the
+   [Assoc_cache.set_of] adversary): keys whose mixed hash lands on
+   negative ints exercise the sign-mask in the packed set indexing. *)
 
 open Sasos.Hw
 
@@ -24,6 +26,7 @@ type op =
   | Purge of int (* drop entries whose payload mod n = 0 *)
   | Rewrite of int (* see [rewrite_fn] *)
   | Clear
+  | Fill of int * int (* insert keys (0..40, k2) in order, payload v + k1 *)
 
 (* A pure function of (k1, k2, v) that changes some entries and leaves
    the rest alone, as the machines' rights rewrites do. *)
@@ -57,6 +60,7 @@ let op_gen =
       (1, map (fun n -> Purge (n + 2)) (int_bound 4));
       (1, map (fun m -> Rewrite (m + 2)) (int_bound 3));
       (1, return Clear);
+      (1, map2 (fun k2 v -> Fill (k2, v)) (int_bound 8) payload);
     ]
 
 let print_op = function
@@ -70,8 +74,13 @@ let print_op = function
   | Purge n -> Printf.sprintf "Purge(%d)" n
   | Rewrite m -> Printf.sprintf "Rewrite(%d)" m
   | Clear -> "Clear"
+  | Fill (k2, v) -> Printf.sprintf "Fill(%d,%d)" k2 v
 
-let geometries = [ (1, 1); (1, 4); (4, 4); (8, 2); (3, 5); (16, 8) ]
+let wide_ways = Packed_cache.walk_max_ways + 1
+
+let geometries =
+  [ (1, 1); (1, 4); (4, 4); (8, 2); (3, 5); (16, 8); (1, wide_ways); (2, 16);
+    (1, 64) ]
 let policies = [ Replacement.Lru; Replacement.Fifo; Replacement.Random ]
 
 let entry k1 k2 v acc = (k1, k2, v) :: acc
@@ -146,10 +155,22 @@ let apply_both ~ctx a b op =
   | Clear ->
       let ra = R.clear a in
       let rb = Packed_cache.clear b in
-      if ra <> rb then Q.Test.fail_reportf "%s: clear diverged" ctx);
+      if ra <> rb then Q.Test.fail_reportf "%s: clear diverged" ctx
+  | Fill (k2, v) ->
+      for k1 = 0 to 40 do
+        let hash = hash_of k1 k2 in
+        R.insert a ~hash ~k1 ~k2 (v + k1);
+        Packed_cache.insert b ~hash ~k1 ~k2 (v + k1);
+        if R.last_eviction a <> Packed_cache.last_eviction b then
+          Q.Test.fail_reportf "%s: eviction victim diverged at k1=%d" ctx k1;
+        if not (Packed_cache.well_formed b) then
+          Q.Test.fail_reportf "%s: slot index broken at k1=%d" ctx k1
+      done);
   check_stats ~ctx a b;
   if contents_ref a <> contents b then
-    Q.Test.fail_reportf "%s: contents diverged" ctx
+    Q.Test.fail_reportf "%s: contents diverged" ctx;
+  if not (Packed_cache.well_formed b) then
+    Q.Test.fail_reportf "%s: slot index out of step with the lanes" ctx
 
 let lockstep_prop ops =
   List.iter
@@ -301,9 +322,43 @@ let test_negative_key_rejected () =
       Packed_cache.insert t ~hash:0 ~k1:(-1) ~k2:0 5);
   Alcotest.(check int) "nothing stored" 0 (Packed_cache.length t)
 
+(* The slot index keeps the walk's zero-allocation promise: every keyed
+   operation, evicting inserts and clear on a 1×64 cache (the default TLB
+   and PLB geometry) allocate nothing. *)
+let test_wide_ops_allocate_nothing () =
+  let t = Packed_cache.create ~sets:1 ~ways:64 () in
+  let hash k = k * 0x9e3779b1 in
+  let ops () =
+    for round = 0 to 49 do
+      (* 96 keys into 64 ways: the last 32 inserts evict *)
+      for k = 0 to 95 do
+        Packed_cache.insert t ~hash:(hash k) ~k1:k ~k2:round k
+      done;
+      for k = 0 to 95 do
+        let hash = hash k in
+        ignore (Sys.opaque_identity (Packed_cache.find t ~hash ~k1:k ~k2:round));
+        ignore (Sys.opaque_identity (Packed_cache.peek t ~hash ~k1:k ~k2:round));
+        ignore (Sys.opaque_identity (Packed_cache.mem t ~hash ~k1:k ~k2:round));
+        ignore (Packed_cache.set_masked t ~hash ~k1:k ~k2:round ~mask:1 ~bits:1)
+      done;
+      for k = 40 to 71 do
+        ignore (Packed_cache.remove t ~hash:(hash k) ~k1:k ~k2:round)
+      done;
+      ignore (Packed_cache.clear t)
+    done
+  in
+  ops ();
+  let e0 = Packed_cache.evictions t in
+  let words = Test_data_cache.minor_words_in ops in
+  Alcotest.(check int) "32 evictions a round" (50 * 32)
+    (Packed_cache.evictions t - e0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let suite =
   [
     Qprop.to_alcotest lockstep;
+    Alcotest.test_case "wide-set index ops allocate nothing" `Quick
+      test_wide_ops_allocate_nothing;
     Alcotest.test_case "min_int hash class" `Quick test_min_int_hash;
     Alcotest.test_case "plb adversarial keys" `Quick test_plb_adversarial_keys;
     Alcotest.test_case "peek is uncounted and recency-neutral" `Quick

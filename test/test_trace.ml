@@ -105,6 +105,19 @@ let test_store_parse_error () =
         (String.length msg > 0 && String.sub msg 0 6 = "line 2")
   | Ok _ -> Alcotest.fail "should fail"
 
+(* A file that cannot be read is an [Error] naming its path, as a
+   malformed one is: `sasos trace replay` and `trace stats` report it
+   instead of dying on an uncaught Sys_error. *)
+let test_store_missing_file () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "sasos-no-such.trace" in
+  match Store.load path with
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "names the path (%s)" msg)
+        true
+        (String.starts_with ~prefix:path msg)
+  | Ok _ -> Alcotest.fail "loaded a missing file"
+
 let test_player_rejects_bad_trace () =
   let sys = Machines.make Machines.Plb Config.default in
   match Player.replay [ Event.Switch { pd = 0 } ] sys with
@@ -396,6 +409,8 @@ let suite =
     Alcotest.test_case "event parse errors" `Quick test_of_line_errors;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store parse error" `Quick test_store_parse_error;
+    Alcotest.test_case "store load of a missing file" `Quick
+      test_store_missing_file;
     Alcotest.test_case "player rejects bad trace" `Quick
       test_player_rejects_bad_trace;
     Alcotest.test_case "player offset bounds" `Quick test_player_offset_bounds;
