@@ -38,6 +38,11 @@ type t = {
   rng : Sasos_util.Prng.t;
   lines : int array;
   valid_bits : int array;
+  (* valid lines per physical frame: a page flush whose frame holds none
+     returns without walking. Indexed by physical line [lsr frame_shift];
+     grows to the highest frame a fill names. *)
+  frame_shift : int;
+  mutable frame_lines : int array;
   (* residency count per physical line, for synonym detection; flat so
      the per-miss incr/decr never allocates (a Hashtbl conses a bucket
      and an option on every miss). Only ever probed, so it starts small
@@ -54,7 +59,8 @@ type t = {
 }
 
 let create ?(policy = Replacement.Lru) ?(seed = 0xcac4e) ?(probe = Probe.null)
-    ?(probe_as = Probe.L1_cache) ~org ~size_bytes ~line_bytes ~ways () =
+    ?(probe_as = Probe.L1_cache) ?(page_shift = 12) ~org ~size_bytes
+    ~line_bytes ~ways () =
   let open Sasos_util in
   if not (Bits.is_power_of_two size_bytes && Bits.is_power_of_two line_bytes)
   then invalid_arg "Data_cache.create: sizes must be powers of two";
@@ -63,15 +69,20 @@ let create ?(policy = Replacement.Lru) ?(seed = 0xcac4e) ?(probe = Probe.null)
   let nlines = size_bytes / line_bytes in
   if nlines mod ways <> 0 then
     invalid_arg "Data_cache.create: lines not divisible by ways";
+  let line_shift = Bits.log2 line_bytes in
+  if page_shift < line_shift then
+    invalid_arg "Data_cache.create: page smaller than a cache line";
   {
     organization = org;
-    line_shift = Bits.log2 line_bytes;
+    line_shift;
     nsets = nlines / ways;
     ways;
     policy;
     rng = Prng.create ~seed;
     lines = Array.make (nlines * fields) 0;
     valid_bits = Array.make ((nlines + word_mask) lsr word_shift) 0;
+    frame_shift = page_shift - line_shift;
+    frame_lines = Array.make 16 0;
     pa_resident = Flat_tab.create ();
     probe;
     probe_as;
@@ -108,6 +119,23 @@ let pa_decr t pa_line =
 
 let note_occupancy t = Probe.set_occupancy t.probe t.probe_as t.live
 
+let frame_lines t ~pfn =
+  if pfn >= 0 && pfn < Array.length t.frame_lines then
+    Array.unsafe_get t.frame_lines pfn
+  else 0
+
+(* Count a fill of physical line [pa_line], growing the per-frame array
+   by doubling when the line's frame lies past its end. *)
+let frame_fill t pa_line =
+  let f = pa_line lsr t.frame_shift in
+  let n = Array.length t.frame_lines in
+  if f >= n then begin
+    let a = Array.make (max (f + 1) (2 * n)) 0 in
+    Array.blit t.frame_lines 0 a 0 n;
+    t.frame_lines <- a
+  end;
+  Array.unsafe_set t.frame_lines f (Array.unsafe_get t.frame_lines f + 1)
+
 (* Set or clear the valid bit of the line starting at word [j]. *)
 let set_valid_bit t j =
   let i = j / fields in
@@ -125,7 +153,11 @@ let clear_valid_bit t j =
    dirty. *)
 let evict_line t j =
   let l = t.lines in
-  pa_decr t (Array.unsafe_get l (j + f_pa));
+  let pa_line = Array.unsafe_get l (j + f_pa) in
+  pa_decr t pa_line;
+  (* the fill counted this frame, so it lies inside the array *)
+  let f = pa_line lsr t.frame_shift in
+  Array.unsafe_set t.frame_lines f (Array.unsafe_get t.frame_lines f - 1);
   if Array.unsafe_get l (j + f_state) land dirty <> 0 then
     t.writebacks <- t.writebacks + 1;
   Array.unsafe_set l (j + f_state) 0;
@@ -211,6 +243,7 @@ let access_bits t ~space ~va ~pa ~write =
     Probe.note_fill t.probe t.probe_as;
     note_occupancy t;
     if pa_incr t pa_line > 1 then t.synonyms <- t.synonyms + 1;
+    frame_fill t pa_line;
     if writeback then 3 else 1
   end
 
@@ -325,17 +358,22 @@ let flush_va_range t ~space ~lo ~hi =
   let flushed = flush_va_range_count t ~space ~lo ~hi in
   (flushed, t.writebacks - wb0)
 
-let flush_pa_page t ~pfn ~page_shift =
-  let shift = page_shift - t.line_shift in
-  if shift < 0 then
-    invalid_arg "Data_cache.flush_pa_page: page smaller than a cache line";
-  let n =
-    match t.organization with
-    | Pipt when shift < Sys.int_size - 1 -> 1 lsl shift
-    | Pipt | Vivt | Vipt -> -1
-  in
+(* A frame that holds no line returns before either walk: evicting a
+   page the cache never saw costs one array read. *)
+let flush_pa_page_count t ~pfn =
+  if frame_lines t ~pfn = 0 then 0
+  else
+    let shift = t.frame_shift in
+    let n =
+      match t.organization with
+      | Pipt when shift < Sys.int_size - 1 -> 1 lsl shift
+      | Pipt | Vivt | Vipt -> -1
+    in
+    flush t Pa_page pfn 0 shift ~first_line:(pfn lsl shift) ~n
+
+let flush_pa_page t ~pfn =
   let wb0 = t.writebacks in
-  let flushed = flush t Pa_page pfn 0 shift ~first_line:(pfn lsl shift) ~n in
+  let flushed = flush_pa_page_count t ~pfn in
   (flushed, t.writebacks - wb0)
 
 let flush_all t =

@@ -37,6 +37,7 @@ val create :
   ?seed:int ->
   ?probe:Probe.t ->
   ?probe_as:Probe.structure ->
+  ?page_shift:int ->
   org:org ->
   size_bytes:int ->
   line_bytes:int ->
@@ -45,8 +46,11 @@ val create :
   t
 (** [probe] receives occupancy/fill/purge gauge writes under the
     [probe_as] slot (default {!Probe.L1_cache}; an L2 instance passes
-    {!Probe.L2_cache}).
-    @raise Invalid_argument unless sizes are powers of two and consistent. *)
+    {!Probe.L2_cache}). [page_shift] (default 12) is the machine's page
+    size: the cache counts its valid lines per physical frame of that
+    size (see {!frame_lines}).
+    @raise Invalid_argument unless sizes are powers of two and consistent,
+    or if the page is smaller than a line. *)
 
 val org : t -> org
 val lines : t -> int
@@ -79,13 +83,22 @@ val flush_va_range_count : t -> space:int -> lo:Va.t -> hi:Va.t -> int
 (** {!flush_va_range} without the result pair: returns the flushed-line
     count only. Never allocates — the page-replacement form. *)
 
-val flush_pa_page : t -> pfn:int -> page_shift:int -> int * int
-(** Flush every line resident for the given physical page; returns
-    [(lines_flushed, writebacks)]. A [Pipt] cache indexes by the page's
-    lines: when the page has fewer lines than {!sets} it walks their sets
-    or the valid bits, whichever takes fewer steps. [Vivt] and [Vipt]
-    caches, indexed by virtual address, walk the valid bits.
-    @raise Invalid_argument if the page is smaller than a line. *)
+val frame_lines : t -> pfn:int -> int
+(** Valid lines holding bytes of physical frame [pfn] (frames of the
+    [page_shift] given at {!create}). Kept up to date on every fill and
+    eviction, so reading it costs one array load. *)
+
+val flush_pa_page : t -> pfn:int -> int * int
+(** Flush every line resident for physical frame [pfn]; returns
+    [(lines_flushed, writebacks)]. When {!frame_lines} is 0 it returns at
+    once, before either walk. Otherwise a [Pipt] cache indexes by the
+    page's lines: when the page has fewer lines than {!sets} it walks
+    their sets or the valid bits, whichever takes fewer steps. [Vivt] and
+    [Vipt] caches, indexed by virtual address, walk the valid bits. *)
+
+val flush_pa_page_count : t -> pfn:int -> int
+(** {!flush_pa_page} without the result pair: returns the flushed-line
+    count only. Never allocates — the page-release form. *)
 
 val flush_all : t -> int * int
 (** Full flush: [(lines, writebacks)]. Walks the valid bits, so its host

@@ -11,26 +11,49 @@ type state = {
   l2 : Data_cache.t option;
   variant : variant;
   (* built once, reused on every page fault (see Plb_machine) *)
-  mutable evict_hook : int -> unit;
+  evict_hook : int -> unit;
 }
+
+let flush_page_from_cache t vpn =
+  let g = t.os.Os_core.geom in
+  let m = t.os.Os_core.metrics in
+  (* a space-tagged VIVT cache may hold the page once per space: flush the
+     virtual range in every space (physical flush covers all) *)
+  let pfn = Os_core.pfn_int t.os ~vpn in
+  let flushed =
+    if pfn >= 0 then Data_cache.flush_pa_page_count t.cache ~pfn
+    else
+      let lo = Va.va_of_vpn g vpn in
+      let hi = lo + Geometry.page_size g in
+      Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi
+  in
+  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
+  Os_core.charge t.os (t.os.Os_core.cost.Cost_model.cache_line_flush * flushed)
+
+(* Release an evicted page's frame (see Plb_machine); its translation
+   leaves every space. *)
+let evict t victim =
+  flush_page_from_cache t victim;
+  Machine_common.flush_l2_page t.os t.l2 victim;
+  ignore (Tlb.invalidate_vpn_all_spaces t.tlb victim)
 
 let make_create variant (config : Config.t) =
   let os = Os_core.create config in
   let probe = os.Os_core.probe in
-  {
-    os;
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    variant;
-    evict_hook = ignore;
-  }
+  let tlb =
+    Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
+      ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ()
+  and cache =
+    Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
+      ~probe ~page_shift:config.Config.geom.Geometry.page_shift
+      ~org:config.Config.cache_org ~size_bytes:config.Config.cache_bytes
+      ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ()
+  and l2 = Machine_common.l2_of_config ~probe config in
+  let rec t =
+    { os; tlb; cache; l2; variant;
+      evict_hook = (fun victim -> evict t victim) }
+  in
+  t
 
 let metrics t = t.os.Os_core.metrics
 let cost t = t.os.Os_core.cost
@@ -216,21 +239,6 @@ let protect_all t va rights =
     (Va.vpns_of_ppn g (Os_core.prot_unit t.os va));
   charge_sweep t (Tlb.capacity t.tlb) 0
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  (* a space-tagged VIVT cache may hold the page once per space: flush the
-     virtual range in every space (physical flush covers all) *)
-  let flushed, _ =
-    match Os_core.pfn_of t.os ~vpn with
-    | Some pfn -> Data_cache.flush_pa_page t.cache ~pfn ~page_shift:g.Geometry.page_shift
-    | None -> Data_cache.flush_va_range t.cache ~space:0 ~lo ~hi
-  in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
-
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
   flush_page_from_cache t vpn;
@@ -257,14 +265,7 @@ let ensure_mapped t vpn =
   (* resident fast path first: the fault handler is the slow path *)
   let pfn = Os_core.pfn_int t.os ~vpn in
   if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate_vpn_all_spaces t.tlb victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+  else Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
 
 let data_path t kind va e =
   let g = geom t in

@@ -37,7 +37,9 @@ let l2_of_config ?probe (config : Config.t) =
   else
     Some
       (Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-         ?probe ~probe_as:Probe.L2_cache ~org:Data_cache.Pipt
+         ?probe ~probe_as:Probe.L2_cache
+         ~page_shift:config.Config.geom.Sasos_addr.Geometry.page_shift
+         ~org:Data_cache.Pipt
          ~size_bytes:config.Config.l2_bytes ~line_bytes:config.Config.l2_line
          ~ways:config.Config.l2_ways ())
 
@@ -58,15 +60,17 @@ let charge_fill (os : Os_core.t) l2 ~va ~pa ~write =
         Os_core.charge os c.Cost_model.cache_miss
       end
 
-(* Drop a physical page from the L2 when its frame is reclaimed. *)
+(* Drop a physical page from the L2 when its frame is reclaimed.
+   Allocation-free: eviction runs it on every page fault under memory
+   pressure. *)
 let flush_l2_page (os : Os_core.t) l2 vpn =
-  match (l2, Os_core.pfn_of os ~vpn) with
-  | Some l2, Some pfn ->
-      let flushed, _ =
-        Data_cache.flush_pa_page l2 ~pfn
-          ~page_shift:os.Os_core.geom.Sasos_addr.Geometry.page_shift
-      in
-      let m = os.Os_core.metrics in
-      m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-      Os_core.charge os (os.Os_core.cost.Cost_model.cache_line_flush * flushed)
-  | _ -> ()
+  match l2 with
+  | None -> ()
+  | Some l2 ->
+      let pfn = Os_core.pfn_int os ~vpn in
+      if pfn >= 0 then begin
+        let flushed = Data_cache.flush_pa_page_count l2 ~pfn in
+        let m = os.Os_core.metrics in
+        m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
+        Os_core.charge os (os.Os_core.cost.Cost_model.cache_line_flush * flushed)
+      end

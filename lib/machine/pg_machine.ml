@@ -23,39 +23,61 @@ type t = {
   page_rights : (Va.vpn, Rights.t) Hashtbl.t;
   mutable next_aid : int;
   (* built once, reused on every page fault (see Plb_machine) *)
-  mutable evict_hook : int -> unit;
+  evict_hook : int -> unit;
 }
 
 let name = "page-group"
 let model = System_intf.Page_group
 
+let flush_page_from_cache t vpn =
+  let g = t.os.Os_core.geom in
+  let m = t.os.Os_core.metrics in
+  let pfn = Os_core.pfn_int t.os ~vpn in
+  let flushed =
+    (* every line of a mapped page holds its frame *)
+    if pfn >= 0 && Data_cache.frame_lines t.cache ~pfn = 0 then 0
+    else
+      let lo = Va.va_of_vpn g vpn in
+      let hi = lo + Geometry.page_size g in
+      Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi
+  in
+  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
+  Os_core.charge t.os (t.os.Os_core.cost.Cost_model.cache_line_flush * flushed)
+
+(* Release an evicted page's frame (see Plb_machine). *)
+let evict t victim =
+  flush_page_from_cache t victim;
+  Machine_common.flush_l2_page t.os t.l2 victim;
+  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim)
+
 let create (config : Config.t) =
   let os = Os_core.create config in
   let probe = os.Os_core.probe in
-  {
-    os;
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    pgc =
-      Page_group_cache.create ~policy:config.Config.policy
-        ~seed:config.Config.seed ~probe ~entries:config.Config.pg_entries ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    group_members = Hashtbl.create 256;
-    domain_groups = Hashtbl.create 64;
-    seg_group = Hashtbl.create 256;
-    seg_union = Hashtbl.create 256;
-    sig_groups = Hashtbl.create 256;
-    page_aid = Hashtbl.create 1024;
-    page_rights = Hashtbl.create 1024;
-    next_aid = limbo_aid + 1;
-    evict_hook = ignore;
-  }
+  let tlb =
+    Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
+      ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ()
+  and pgc =
+    Page_group_cache.create ~policy:config.Config.policy
+      ~seed:config.Config.seed ~probe ~entries:config.Config.pg_entries ()
+  and cache =
+    Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
+      ~probe ~page_shift:config.Config.geom.Geometry.page_shift
+      ~org:config.Config.cache_org ~size_bytes:config.Config.cache_bytes
+      ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ()
+  and l2 = Machine_common.l2_of_config ~probe config
+  and group_members = Hashtbl.create 256
+  and domain_groups = Hashtbl.create 64
+  and seg_group = Hashtbl.create 256
+  and seg_union = Hashtbl.create 256
+  and sig_groups = Hashtbl.create 256
+  and page_aid = Hashtbl.create 1024
+  and page_rights = Hashtbl.create 1024 in
+  let rec t =
+    { os; tlb; pgc; cache; l2; group_members; domain_groups; seg_group;
+      seg_union; sig_groups; page_aid; page_rights; next_aid = limbo_aid + 1;
+      evict_hook = (fun victim -> evict t victim) }
+  in
+  t
 
 let os t = t.os
 let metrics t = t.os.Os_core.metrics
@@ -504,15 +526,6 @@ let protect_all t va rights =
 
 (* --- paging ---------------------------------------------------------- *)
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  let flushed = Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
-
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
   Machine_common.charge_shootdown t.os;
@@ -550,14 +563,7 @@ let ensure_mapped t vpn =
   (* resident fast path first: the fault handler is the slow path *)
   let pfn = Os_core.pfn_int t.os ~vpn in
   if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+  else Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
 
 (* --- memory references ----------------------------------------------- *)
 

@@ -15,34 +15,57 @@ type t = {
   (* Built once at creation and reused on every page fault: allocating the
      eviction callback per fault would break the zero-allocation paging
      path that the capacity-cliff experiments thrash. *)
-  mutable evict_hook : int -> unit;
+  evict_hook : int -> unit;
 }
 
 let name = "plb"
 let model = System_intf.Domain_page
 
+let flush_page_from_cache t vpn =
+  let g = t.os.Os_core.geom in
+  let m = t.os.Os_core.metrics in
+  let pfn = Os_core.pfn_int t.os ~vpn in
+  let flushed =
+    (* every line of a mapped page holds its frame *)
+    if pfn >= 0 && Data_cache.frame_lines t.cache ~pfn = 0 then 0
+    else
+      let lo = Va.va_of_vpn g vpn in
+      let hi = lo + Geometry.page_size g in
+      Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi
+  in
+  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
+  Os_core.charge t.os (t.os.Os_core.cost.Cost_model.cache_line_flush * flushed)
+
+(* Release an evicted page's frame: its lines leave both cache levels and
+   its translation leaves the TLB, so the frame's next tenant finds
+   nothing of it. *)
+let evict t victim =
+  flush_page_from_cache t victim;
+  Machine_common.flush_l2_page t.os t.l2 victim;
+  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim)
+
 let create (config : Config.t) =
   let os = Os_core.create config in
   let probe = os.Os_core.probe in
-  {
-    os;
-    plb =
-      Plb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~shifts:config.Config.plb_shifts ~sets:config.Config.plb_sets
-        ~ways:config.Config.plb_ways ();
-    tlb =
-      Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-        ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ();
-    cache =
-      Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-        ~probe ~org:config.Config.cache_org
-        ~size_bytes:config.Config.cache_bytes
-        ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ();
-    l2 = Machine_common.l2_of_config ~probe config;
-    guards = Hashtbl.create 16;
-    code_context = None;
-    evict_hook = ignore;
-  }
+  let plb =
+    Plb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
+      ~shifts:config.Config.plb_shifts ~sets:config.Config.plb_sets
+      ~ways:config.Config.plb_ways ()
+  and tlb =
+    Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
+      ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ()
+  and cache =
+    Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
+      ~probe ~page_shift:config.Config.geom.Geometry.page_shift
+      ~org:config.Config.cache_org ~size_bytes:config.Config.cache_bytes
+      ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ()
+  and l2 = Machine_common.l2_of_config ~probe config
+  and guards = Hashtbl.create 16 in
+  let rec t =
+    { os; plb; tlb; cache; l2; guards; code_context = None;
+      evict_hook = (fun victim -> evict t victim) }
+  in
+  t
 
 let os t = t.os
 let metrics t = t.os.Os_core.metrics
@@ -295,15 +318,6 @@ let protect_all t va rights =
       (fun pd' -> ignore (Plb.invalidate t.plb ~pd:pd' ~va))
       (Os_core.domain_list t.os)
 
-let flush_page_from_cache t vpn =
-  let g = geom t in
-  let m = metrics t in
-  let lo = Va.va_of_vpn g vpn in
-  let hi = lo + Geometry.page_size g in
-  let flushed = Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os ((cost t).Cost_model.cache_line_flush * flushed)
-
 (* Unmap: flush data-cache lines and drop the TLB entry. The PLB needs no
    maintenance — stale protection entries are harmless because the missing
    translation stops any access (§4.1.3). *)
@@ -333,14 +347,7 @@ let ensure_mapped t vpn =
      conditional the TLB-refill path need not pay *)
   let pfn = Os_core.pfn_int t.os ~vpn in
   if pfn >= 0 then pfn
-  else begin
-    if t.evict_hook == ignore then
-      t.evict_hook <-
-        (fun victim ->
-          flush_page_from_cache t victim;
-          ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim));
-    Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
-  end
+  else Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
 
 (* The data path once protection has approved the access: probe the VIVT
    cache; on a miss consult the (off-critical-path) TLB and fill. *)

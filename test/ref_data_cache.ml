@@ -260,6 +260,16 @@ let flush_pa_page t ~pfn ~page_shift =
 
 let flush_all t = sweep t (fun _ -> true)
 
+(* Valid lines holding bytes of frame [pfn]: a scan of every line. *)
+let frame_lines t ~pfn ~page_shift =
+  let shift = page_shift - t.line_shift in
+  Array.fold_left
+    (fun n set ->
+      Array.fold_left
+        (fun n l -> if l.valid && l.pa_line lsr shift = pfn then n + 1 else n)
+        n set)
+    0 t.table
+
 let resident_copies_of_pa t ~pa_line =
   let c = Sasos_util.Flat_tab.find t.pa_resident ~k1:pa_line ~k2:0 in
   if c < 0 then 0 else c

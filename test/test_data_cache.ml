@@ -87,7 +87,7 @@ let test_flush_pa_page () =
   let c = mk () in
   ignore (Data_cache.access c ~space:1 ~va:0x1000 ~pa:0x7000 ~write:false);
   ignore (Data_cache.access c ~space:2 ~va:0x3000 ~pa:0x7020 ~write:false);
-  let flushed, _ = Data_cache.flush_pa_page c ~pfn:7 ~page_shift:12 in
+  let flushed, _ = Data_cache.flush_pa_page c ~pfn:7 in
   Alcotest.(check int) "both spaces' lines flushed" 2 flushed
 
 let test_flush_all () =
@@ -132,14 +132,16 @@ let prop_fa_lru_model =
           | Data_cache.Miss _ -> not expected_hit)
         ops)
 
-let test_flush_pa_page_rejects_subline_page () =
+let test_create_rejects_subline_page () =
   (* 16-byte pages under 32-byte lines: the page-to-line shift would be
-     negative and silently flush the wrong lines *)
-  let c = mk ~org:Data_cache.Pipt () in
-  ignore (Data_cache.access c ~space:0 ~va:0x40 ~pa:0x40 ~write:false);
+     negative, so page flushes and frame counts would name the wrong
+     lines *)
   Alcotest.check_raises "negative shift"
-    (Invalid_argument "Data_cache.flush_pa_page: page smaller than a cache line")
-    (fun () -> ignore (Data_cache.flush_pa_page c ~pfn:4 ~page_shift:4))
+    (Invalid_argument "Data_cache.create: page smaller than a cache line")
+    (fun () ->
+      ignore
+        (Data_cache.create ~page_shift:4 ~org:Data_cache.Pipt ~size_bytes:1024
+           ~line_bytes:32 ~ways:2 ()))
 
 (* --- lockstep against the record-per-line reference model ------------- *)
 
@@ -248,8 +250,9 @@ let prop_lockstep =
       let size_bytes = g.sets * g.ways * line_bytes in
       let probe_t = Probe.create () and probe_m = Probe.create () in
       let t =
-        Data_cache.create ~policy:g.policy ~probe:probe_t ~org:g.org
-          ~size_bytes ~line_bytes ~ways:g.ways ()
+        Data_cache.create ~policy:g.policy ~probe:probe_t
+          ~page_shift:g.page_shift ~org:g.org ~size_bytes ~line_bytes
+          ~ways:g.ways ()
       in
       let m =
         Ref_data_cache.create ~policy:g.policy ~probe:probe_m
@@ -289,8 +292,7 @@ let prop_lockstep =
                   string_of_int
                     (Ref_data_cache.flush_va_range_count m ~space ~lo ~hi) )
             | Flush_pa pfn ->
-                ( pair
-                    (Data_cache.flush_pa_page t ~pfn ~page_shift:g.page_shift),
+                ( pair (Data_cache.flush_pa_page t ~pfn),
                   pair
                     (Ref_data_cache.flush_pa_page m ~pfn
                        ~page_shift:g.page_shift) )
@@ -312,6 +314,13 @@ let prop_lockstep =
               (Printf.sprintf "resident copies of pa line %d" pa_line)
               (string_of_int (Data_cache.resident_copies_of_pa t ~pa_line))
               (string_of_int (Ref_data_cache.resident_copies_of_pa m ~pa_line))
+          done;
+          for pfn = 0 to (pa_lines lsr (g.page_shift - g.line_shift)) + 1 do
+            check i op
+              (Printf.sprintf "lines of frame %d" pfn)
+              (string_of_int (Data_cache.frame_lines t ~pfn))
+              (string_of_int
+                 (Ref_data_cache.frame_lines m ~pfn ~page_shift:g.page_shift))
           done)
         ops;
       true)
@@ -397,8 +406,8 @@ let suite =
     Alcotest.test_case "flush physical page" `Quick test_flush_pa_page;
     Alcotest.test_case "flush all" `Quick test_flush_all;
     Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
-    Alcotest.test_case "flush_pa_page rejects sub-line pages" `Quick
-      test_flush_pa_page_rejects_subline_page;
+    Alcotest.test_case "create rejects sub-line pages" `Quick
+      test_create_rejects_subline_page;
     Qprop.to_alcotest prop_lockstep;
     Alcotest.test_case "access and page flush allocate nothing" `Quick
       test_hot_paths_allocate_nothing;

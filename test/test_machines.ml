@@ -707,13 +707,71 @@ let test_warm_hits_allocate_nothing v () =
   Alcotest.(check (float 0.)) "minor words over 10,000 warm read hits" 0.
     words
 
+(* Frame pressure: twelve pages written round-robin six times through
+   four frames, so every write faults and evicts the oldest page. An
+   evicted page leaves nothing behind: no L1 line for its frame's next
+   tenant to meet as a synonym, no L2 line for that tenant to hit, and no
+   TLB entry that would let the page skip its fault when it returns. *)
+let test_eviction_releases_frame v () =
+  let sys = Machines.make v (Config.v ~frames:4 ~l2_bytes:(64 * 1024) ()) in
+  let d = System_ops.new_domain sys in
+  let seg = System_ops.new_segment sys ~pages:12 () in
+  System_ops.attach sys d seg Rights.rw;
+  System_ops.switch_domain sys d;
+  for _ = 1 to 6 do
+    for i = 0 to 11 do
+      ignore (System_ops.write sys (Segment.page_va seg i))
+    done
+  done;
+  let m = System_ops.metrics sys in
+  Alcotest.(check int) "every write faults" 72 m.Metrics.page_faults;
+  Alcotest.(check int) "no synonym" 0 m.Metrics.cache_synonyms;
+  Alcotest.(check int) "no L2 hit on a previous tenant's line" 0
+    m.Metrics.l2_hits
+
+(* A single address space never counts a synonym (EXPERIMENTS.md
+   invariant 3), paging included: random conformance scripts on machines
+   with a third as many frames as pages, under each cache organization.
+   The conv-asid baseline is left out: its space-tagged lines make real
+   synonyms. *)
+let synonym_configs =
+  [
+    ("vivt", Config.v ~frames:4 ());
+    ("vipt", Config.v ~frames:4 ~cache_org:Hw.Data_cache.Vipt ());
+    ("pipt", Config.v ~frames:4 ~cache_org:Hw.Data_cache.Pipt ());
+    ( "pipt+l2",
+      Config.v ~frames:4 ~cache_org:Hw.Data_cache.Pipt ~l2_bytes:(64 * 1024)
+        () );
+  ]
+
+let prop_sas_never_synonyms =
+  QCheck2.Test.make ~count:25
+    ~name:"single address space never counts a synonym"
+    ~print:string_of_int (QCheck2.Gen.int_bound 0x3FFF_FFFF) (fun seed ->
+      let script =
+        Check.Gen.script (Util.Prng.create ~seed) Check.Op.default_geom
+          ~ops:200
+      in
+      List.for_all
+        (fun (cname, config) ->
+          List.for_all
+            (fun v ->
+              let sys = Machines.make v config in
+              ignore (Check.Exec.run_packed Check.Op.default_geom script sys);
+              let n = (System_ops.metrics sys).Metrics.cache_synonyms in
+              n = 0
+              || QCheck2.Test.fail_reportf "%s on %s: %d synonyms"
+                   (Machines.to_string v) cname n)
+            Machines.[ Plb; Page_group; Pk; Conv_flush ])
+        synonym_configs)
+
 (* Whole-run goldens: a seeded 600-op conformance script on a small
    machine (8 frames under 12 pages, 2x2 PLB, 2x4 TLB, 4-entry page-group
    cache), so paging, evictions, purges and rights rewrites all run. The
-   recorded values are what both cache and OS-table implementations
-   produced when the boxed reference models still shipped beside the int
-   lanes. Only non-zero counters enter a digest, so a new counter that
-   stays zero here keeps it. *)
+   one-core values changed once, when eviction began to release the
+   victim's frame (its lines in both cache levels and its TLB entry);
+   before, the hook that does so never ran. Only non-zero counters enter
+   a digest, so a new counter that stays zero here keeps it. *)
 let golden_config =
   Config.v ~frames:8 ~plb_sets:2 ~plb_ways:2 ~tlb_sets:2 ~tlb_ways:4
     ~pg_entries:4 ()
@@ -748,11 +806,11 @@ let check_golden what (cycles, digest) (c, d, fields) =
 (* One core. *)
 let golden_uni =
   [
-    ("plb", (3161352, "8a77f8724d97421298134c90c778632a"));
-    ("page-group", (2967351, "7b0ff192548eff75cceb8c5832884f58"));
-    ("pk", (3157955, "9dbf77645b7ea986b6ad02193158c767"));
-    ("conv-asid", (3161973, "e8a158dd35c05a2356fca4d6146ab3c5"));
-    ("conv-flush", (3164364, "048e4d910573c855a5f499c772abefc3"));
+    ("plb", (3161396, "8c4100cf419931b93a7c926e67646789"));
+    ("page-group", (3167230, "8a681fbb0b2f3bfc69bc6ee08a7c8e6c"));
+    ("pk", (3157994, "70fd1105cf4d14e54160490a86737240"));
+    ("conv-asid", (3161819, "052ba043008aa1ce65dd42b135f025ac"));
+    ("conv-flush", (3164213, "1c9d10f4f4da0875ff8c57dd0cc03845"));
   ]
 
 let test_golden_uni label v () =
@@ -833,6 +891,13 @@ let suite =
           (Printf.sprintf "warm read hits allocate nothing [%s]" label)
           `Quick (test_warm_hits_allocate_nothing v))
       Machines.all
+  @ List.map
+      (fun (label, v) ->
+        Alcotest.test_case
+          (Printf.sprintf "eviction releases the frame [%s]" label)
+          `Quick (test_eviction_releases_frame v))
+      Machines.all
+  @ [ Qprop.to_alcotest prop_sas_never_synonyms ]
   @ List.map
       (fun (label, v) ->
         Alcotest.test_case
