@@ -315,6 +315,16 @@ let purge p pred =
   done;
   (!inspected, !removed)
 
+let remove_k2 p k2 =
+  let removed = ref 0 in
+  for j = 0 to capacity p - 1 do
+    if p.keys1.(j) <> free_key && p.keys2.(j) = k2 then begin
+      vacate p j;
+      incr removed
+    end
+  done;
+  !removed
+
 let rewrite p f =
   let changed = ref 0 in
   for j = 0 to capacity p - 1 do

@@ -115,6 +115,11 @@ val purge : t -> (int -> int -> int -> bool) -> int * int
 (** Full sweep in set-major order; [(inspected, removed)]. The predicate
     receives [k1 k2 payload]. *)
 
+val remove_k2 : t -> int -> int
+(** Remove every entry whose [k2] is the given key, in the sweep order of
+    {!purge}; returns the number removed. Takes no closure, so it never
+    allocates. *)
+
 val rewrite : t -> (int -> int -> int -> int) -> int
 (** Full sweep rewriting payloads in place: [f k1 k2 v] returns the new
     payload (return [v] to leave the entry untouched). No statistics, no

@@ -101,8 +101,15 @@ let purge_counted t p =
   note_occupancy t;
   (inspected, removed)
 
+let drop_vpn t vpn =
+  let removed = Packed_cache.remove_k2 t.cache vpn in
+  Probe.note_purged t.probe Probe.Tlb removed;
+  note_occupancy t;
+  removed
+
 let invalidate_vpn_all_spaces t vpn =
-  purge_counted t (fun _space evpn _ -> evpn = vpn)
+  let inspected = Packed_cache.length t.cache in
+  (inspected, drop_vpn t vpn)
 
 let purge_space t space = purge_counted t (fun espace _vpn _ -> espace = space)
 

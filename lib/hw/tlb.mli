@@ -88,6 +88,10 @@ val invalidate_vpn_all_spaces : t -> Va.vpn -> int * int
     MAS machine where a shared page is replicated per ASID. Returns
     [(inspected, removed)]. *)
 
+val drop_vpn : t -> Va.vpn -> int
+(** {!invalidate_vpn_all_spaces} without the inspected count: returns the
+    entries removed. Never allocates — the eviction form. *)
+
 val purge_space : t -> int -> int * int
 (** Remove all entries of one address space. Returns [(inspected, removed)]. *)
 

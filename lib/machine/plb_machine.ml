@@ -1,81 +1,33 @@
 open Sasos_addr
 open Sasos_hw
 open Sasos_os
+include Machine_common
 
-type t = {
-  os : Os_core.t;
+type prot = {
   plb : Plb.t;
-  tlb : Tlb.t; (* space = 0: translations are global, off the critical path *)
-  cache : Data_cache.t;
-  l2 : Data_cache.t option;
   (* Okamoto execution-point extension (paper §5): data segments guarded by
      a code segment, and the current code context register *)
   guards : (int, int * Rights.t) Hashtbl.t; (* data seg -> (code seg, rights) *)
   mutable code_context : Segment.t option;
-  (* Built once at creation and reused on every page fault: allocating the
-     eviction callback per fault would break the zero-allocation paging
-     path that the capacity-cliff experiments thrash. *)
-  evict_hook : int -> unit;
 }
+
+(* The TLB holds translations only, tagged by space 0: global, off the
+   critical path. *)
+type t = prot base
 
 let name = "plb"
 let model = System_intf.Domain_page
 
-let flush_page_from_cache t vpn =
-  let g = t.os.Os_core.geom in
-  let m = t.os.Os_core.metrics in
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  let flushed =
-    (* every line of a mapped page holds its frame *)
-    if pfn >= 0 && Data_cache.frame_lines t.cache ~pfn = 0 then 0
-    else
-      let lo = Va.va_of_vpn g vpn in
-      let hi = lo + Geometry.page_size g in
-      Data_cache.flush_va_range_count t.cache ~space:0 ~lo ~hi
-  in
-  m.Metrics.cache_lines_flushed <- m.Metrics.cache_lines_flushed + flushed;
-  Os_core.charge t.os (t.os.Os_core.cost.Cost_model.cache_line_flush * flushed)
-
-(* Release an evicted page's frame: its lines leave both cache levels and
-   its translation leaves the TLB, so the frame's next tenant finds
-   nothing of it. *)
-let evict t victim =
-  flush_page_from_cache t victim;
-  Machine_common.flush_l2_page t.os t.l2 victim;
-  ignore (Tlb.invalidate t.tlb ~space:0 ~vpn:victim)
-
 let create (config : Config.t) =
-  let os = Os_core.create config in
-  let probe = os.Os_core.probe in
-  let plb =
-    Plb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-      ~shifts:config.Config.plb_shifts ~sets:config.Config.plb_sets
-      ~ways:config.Config.plb_ways ()
-  and tlb =
-    Tlb.create ~policy:config.Config.policy ~seed:config.Config.seed ~probe
-      ~sets:config.Config.tlb_sets ~ways:config.Config.tlb_ways ()
-  and cache =
-    Data_cache.create ~policy:config.Config.policy ~seed:config.Config.seed
-      ~probe ~page_shift:config.Config.geom.Geometry.page_shift
-      ~org:config.Config.cache_org ~size_bytes:config.Config.cache_bytes
-      ~line_bytes:config.Config.cache_line ~ways:config.Config.cache_ways ()
-  and l2 = Machine_common.l2_of_config ~probe config
-  and guards = Hashtbl.create 16 in
-  let rec t =
-    { os; plb; tlb; cache; l2; guards; code_context = None;
-      evict_hook = (fun victim -> evict t victim) }
-  in
-  t
-
-let os t = t.os
-let metrics t = t.os.Os_core.metrics
-
-let charge_external t ~cycles ~page_ins ~page_outs =
-  Machine_common.charge_external t.os ~cycles ~page_ins ~page_outs
-let cost t = t.os.Os_core.cost
-let geom t = t.os.Os_core.geom
-let new_domain t = Os_core.new_domain t.os
-let current_domain t = t.os.Os_core.current
+  Machine_common.create config (fun os ->
+      {
+        plb =
+          Plb.create ~policy:config.Config.policy ~seed:config.Config.seed
+            ~probe:os.Os_core.probe ~shifts:config.Config.plb_shifts
+            ~sets:config.Config.plb_sets ~ways:config.Config.plb_ways ();
+        guards = Hashtbl.create 16;
+        code_context = None;
+      })
 
 (* A domain switch is one protected register write; neither the PLB nor the
    TLB is purged (§4.1.4). *)
@@ -86,18 +38,14 @@ let switch_domain t pd =
     ((cost t).Cost_model.domain_switch + (cost t).Cost_model.pd_id_write);
   t.os.Os_core.current <- pd
 
-let new_segment t ?name ?align_shift ~pages () =
-  Segment_table.allocate t.os.Os_core.segments ?name ?align_shift ~pages ()
-
-let charge_sweep t inspected removed =
-  let m = metrics t in
-  m.Metrics.entries_inspected <- m.Metrics.entries_inspected + inspected;
-  m.Metrics.entries_purged <- m.Metrics.entries_purged + removed;
-  (* every CPU sweeps its private copy of the structure *)
-  Os_core.charge t.os
-    ((cost t).Cost_model.purge_per_entry * inspected
-    * t.os.Os_core.config.Config.cpus);
-  if inspected > 0 then Machine_common.charge_shootdown t.os
+(* The CAM sweep of Table 1's detach: inspect every PLB entry and drop
+   those of domain (or context tag) [pd] whose base lies in [lo, hi). *)
+let purge_range t pd lo hi =
+  let inspected, removed =
+    Plb.purge_matching t.prot.plb (fun epd base _ ->
+        Pd.equal epd pd && base >= lo && base < hi)
+  in
+  charge_sweep t inspected removed
 
 (* --- Okamoto execution-point extension (§5 related work) ------------- *)
 (* Okamoto et al. extend the domain-page model: a page can be marked
@@ -114,14 +62,14 @@ let ctx_pd (cseg : Segment.t) =
   Pd.of_int (ctx_tag_base + Segment.id_to_int cseg.Segment.id)
 
 let guard_rights t va =
-  match t.code_context with
+  match t.prot.code_context with
   | None -> Rights.none
   | Some cseg -> begin
       match Segment_table.find_by_va t.os.Os_core.segments va with
       | None -> Rights.none
       | Some dseg -> begin
           match
-            Hashtbl.find_opt t.guards (Segment.id_to_int dseg.Segment.id)
+            Hashtbl.find_opt t.prot.guards (Segment.id_to_int dseg.Segment.id)
           with
           | Some (cid, r) when cid = Segment.id_to_int cseg.Segment.id -> r
           | Some _ | None -> Rights.none
@@ -132,35 +80,31 @@ let guard_rights t va =
    change — no kernel involvement. *)
 let set_code_context t cseg =
   Os_core.charge t.os (cost t).Cost_model.pd_id_write;
-  t.code_context <- cseg
+  t.prot.code_context <- cseg
 
 let guard_segment t ~data ~code rights =
   Os_core.kernel_entry t.os;
-  Hashtbl.replace t.guards
+  Hashtbl.replace t.prot.guards
     (Segment.id_to_int data.Segment.id)
     (Segment.id_to_int code.Segment.id, rights);
   Os_core.charge t.os (cost t).Cost_model.table_op
 
 let unguard_segment t ~data =
   Os_core.kernel_entry t.os;
-  match Hashtbl.find_opt t.guards (Segment.id_to_int data.Segment.id) with
+  match Hashtbl.find_opt t.prot.guards (Segment.id_to_int data.Segment.id) with
   | None -> ()
   | Some (cid, _) ->
-      Hashtbl.remove t.guards (Segment.id_to_int data.Segment.id);
-      let lo = data.Segment.base and hi = Segment.limit data in
-      let cpd = Pd.of_int (ctx_tag_base + cid) in
-      let inspected, removed =
-        Plb.purge_matching t.plb (fun epd base _ ->
-            Pd.equal epd cpd && base >= lo && base < hi)
-      in
-      charge_sweep t inspected removed
+      Hashtbl.remove t.prot.guards (Segment.id_to_int data.Segment.id);
+      purge_range t
+        (Pd.of_int (ctx_tag_base + cid))
+        data.Segment.base (Segment.limit data)
 
 (* Destroying a domain sweeps its PLB entries — the same CAM sweep as a
    detach, over the whole structure. *)
 let destroy_domain t pd =
   Os_core.kernel_entry t.os;
   Os_core.destroy_domain t.os pd;
-  let inspected, removed = Plb.purge_matching t.plb (fun epd _ _ -> Pd.equal epd pd) in
+  let inspected, removed = Plb.purge_matching t.prot.plb (fun epd _ _ -> Pd.equal epd pd) in
   charge_sweep t inspected removed
 
 (* Attach manipulates no hardware: rights fault into the PLB page by page.
@@ -171,21 +115,10 @@ let attach t pd seg rights =
   let m = metrics t in
   m.Metrics.attaches <- m.Metrics.attaches + 1;
   Os_core.kernel_entry t.os;
-  let restricting =
-    match Os_core.attachment t.os pd seg with
-    | Some old -> not (Rights.subset old rights)
-    | None -> false
-  in
+  let restricting = Os_core.narrows t.os pd seg rights in
   Os_core.set_attachment t.os pd seg rights;
   Os_core.charge t.os (cost t).Cost_model.table_op;
-  if restricting then begin
-    let lo = seg.Segment.base and hi = Segment.limit seg in
-    let inspected, removed =
-      Plb.purge_matching t.plb (fun epd base _ ->
-          Pd.equal epd pd && base >= lo && base < hi)
-    in
-    charge_sweep t inspected removed
-  end
+  if restricting then purge_range t pd seg.Segment.base (Segment.limit seg)
 
 (* Detach sweeps the PLB: inspect every entry, eliminate those for the
    (segment, domain) pair (Table 1). *)
@@ -194,12 +127,7 @@ let detach t pd seg =
   m.Metrics.detaches <- m.Metrics.detaches + 1;
   Os_core.kernel_entry t.os;
   Os_core.remove_attachment t.os pd seg;
-  let lo = seg.Segment.base and hi = Segment.limit seg in
-  let inspected, removed =
-    Plb.purge_matching t.plb (fun epd base _ ->
-        Pd.equal epd pd && base >= lo && base < hi)
-  in
-  charge_sweep t inspected removed;
+  purge_range t pd seg.Segment.base (Segment.limit seg);
   Os_core.charge t.os (cost t).Cost_model.table_op
 
 (* Pick the coarsest configured protection page size consistent with the OS
@@ -218,7 +146,7 @@ let rec widest_fit shifts va sbase slimit acc =
       widest_fit rest va sbase slimit acc
 
 let refill_shift t pd va =
-  match Plb.shifts t.plb with
+  match Plb.shifts t.prot.plb with
   | [ s ] -> s
   | shifts -> begin
       let fine = List.hd shifts in
@@ -232,7 +160,7 @@ let refill_shift t pd va =
 let plb_refill t pd va rights =
   let m = metrics t in
   let shift = refill_shift t pd va in
-  Plb.install t.plb ~pd ~va ~shift rights;
+  Plb.install t.prot.plb ~pd ~va ~shift rights;
   m.Metrics.plb_refills <- m.Metrics.plb_refills + 1;
   Os_core.charge t.os (cost t).Cost_model.plb_refill
 
@@ -248,11 +176,11 @@ let grant t pd va rights =
      whatever is resident for this (domain, page) with a fine entry. This
      is Table 1's "simply requires updating a PLB entry": one entry write,
      not a miss-path refill. Other CPUs may cache the pair: broadcast. *)
-  Machine_common.charge_shootdown t.os;
-  ignore (Plb.invalidate t.plb ~pd ~va);
+  charge_shootdown t.os;
+  ignore (Plb.invalidate t.prot.plb ~pd ~va);
   if not (Rights.equal rights Rights.none) then begin
-    let fine = List.hd (Plb.shifts t.plb) in
-    Plb.install t.plb ~pd ~va ~shift:fine rights;
+    let fine = List.hd (Plb.shifts t.prot.plb) in
+    Plb.install t.prot.plb ~pd ~va ~shift:fine rights;
     Os_core.charge t.os (cost t).Cost_model.pd_id_write
   end
 
@@ -263,16 +191,11 @@ let protect_segment t pd seg rights =
   let m = metrics t in
   m.Metrics.global_protects <- m.Metrics.global_protects + 1;
   Os_core.kernel_entry t.os;
-  List.iter
-    (fun unit ->
-      Os_core.clear_override t.os pd
-        (unit lsl (geom t).Geometry.prot_shift))
-    (Os_core.override_units_in_segment t.os pd seg);
-  Os_core.set_attachment t.os pd seg rights;
+  ignore (Os_core.protect_segment t.os pd seg rights);
   Os_core.charge t.os (cost t).Cost_model.table_op;
   let lo = seg.Segment.base and hi = Segment.limit seg in
   let inspected, _updated =
-    Plb.update_matching t.plb (fun epd base r ->
+    Plb.update_matching t.prot.plb (fun epd base r ->
         if Pd.equal epd pd && base >= lo && base < hi then Some rights
         else Some r)
   in
@@ -284,23 +207,12 @@ let protect_all t va rights =
   let m = metrics t in
   m.Metrics.global_protects <- m.Metrics.global_protects + 1;
   Os_core.kernel_entry t.os;
-  (match Segment_table.find_by_va t.os.Os_core.segments va with
-  | None -> ()
-  | Some seg ->
-      List.iter
-        (fun pd ->
-          match Os_core.attachment t.os pd seg with
-          | Some _ -> Os_core.set_override t.os pd va rights
-          | None ->
-              (* an override may exist without an attachment *)
-              if not (Rights.equal (Os_core.rights t.os pd va) Rights.none)
-              then Os_core.set_override t.os pd va rights)
-        (Os_core.domain_list t.os));
+  Os_core.protect_all t.os va rights;
   Os_core.charge t.os (cost t).Cost_model.table_op;
   let g = geom t in
   let unit = Os_core.prot_unit t.os va in
   let inspected, updated =
-    Plb.update_matching t.plb (fun epd base r ->
+    Plb.update_matching t.prot.plb (fun epd base r ->
         (* rewrite any entry whose protection page is the unit from that
            domain's truth — a domain that held no rights was not part of
            the change and must not receive the new value; coarse entries
@@ -313,9 +225,9 @@ let protect_all t va rights =
   ignore updated;
   (* with several grains, coarse entries covering the page are stale (the
      update above rewrote only matching bases): drop them for all domains *)
-  if List.length (Plb.shifts t.plb) > 1 then
+  if List.length (Plb.shifts t.prot.plb) > 1 then
     List.iter
-      (fun pd' -> ignore (Plb.invalidate t.plb ~pd:pd' ~va))
+      (fun pd' -> ignore (Plb.invalidate t.prot.plb ~pd:pd' ~va))
       (Os_core.domain_list t.os)
 
 (* Unmap: flush data-cache lines and drop the TLB entry. The PLB needs no
@@ -323,38 +235,31 @@ let protect_all t va rights =
    translation stops any access (§4.1.3). *)
 let unmap_page t vpn =
   Os_core.kernel_entry t.os;
-  Machine_common.charge_shootdown t.os;
-  flush_page_from_cache t vpn;
-  Machine_common.flush_l2_page t.os t.l2 vpn;
+  charge_shootdown t.os;
   ignore (Tlb.invalidate t.tlb ~space:0 ~vpn);
-  Os_core.charge t.os (cost t).Cost_model.table_op;
-  Os_core.unmap t.os ~vpn ~write_back:true
+  unmap t vpn
 
 let destroy_segment t seg =
-  List.iter
-    (fun pd ->
-      if Option.is_some (Os_core.attachment t.os pd seg) then detach t pd seg)
-    (Os_core.domain_list t.os);
-  List.iter
-    (fun vpn ->
-      if Os_core.is_resident t.os ~vpn then unmap_page t vpn;
-      Sasos_mem.Backing_store.drop t.os.Os_core.disk ~vpn)
-    (Segment.vpns seg);
-  ignore (Segment_table.destroy t.os.Os_core.segments seg.Segment.id)
+  Machine_common.destroy_segment t seg ~detach:(detach t)
+    ~unmap_page:(unmap_page t)
 
-let ensure_mapped t vpn =
-  (* resident fast path first: even entering the fault handler costs a
-     conditional the TLB-refill path need not pay *)
-  let pfn = Os_core.pfn_int t.os ~vpn in
-  if pfn >= 0 then pfn
-  else Os_core.ensure_mapped t.os ~vpn ~before_evict:t.evict_hook
+(* A TLB miss: the handler pages the page in and installs its
+   translation. *)
+let tlb_refill t vpn ~dirty =
+  let m = t.os.Os_core.metrics in
+  m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
+  Os_core.kernel_entry t.os;
+  let pfn = ensure_mapped t vpn in
+  Tlb.install t.tlb ~space:0 ~vpn
+    (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:0 ~dirty ~referenced:true);
+  m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
+  Os_core.charge t.os t.os.Os_core.cost.Cost_model.tlb_refill;
+  pfn
 
 (* The data path once protection has approved the access: probe the VIVT
    cache; on a miss consult the (off-critical-path) TLB and fill. *)
 let data_path t kind va =
-  let g = geom t in
-  let m = metrics t in
-  let c = cost t in
+  let g = t.os.Os_core.geom in
   let vpn = Va.vpn_of_va g va in
   let write = kind = Access.Write in
   let pa =
@@ -362,65 +267,34 @@ let data_path t kind va =
     let pa = Os_core.pa_int t.os va in
     if pa >= 0 then pa
     else begin
-        (* Not mapped: the cache cannot hold the line, so this access will
-           miss and the TLB miss handler pages it in. *)
-        m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
-        ignore (Tlb.lookup t.tlb ~space:0 ~vpn);
-        Os_core.kernel_entry t.os;
-        let pfn = ensure_mapped t vpn in
-        Tlb.install t.tlb ~space:0 ~vpn
-          (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:0 ~dirty:false
-             ~referenced:true);
-        m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
-        Os_core.charge t.os c.Cost_model.tlb_refill;
-        (pfn lsl g.Geometry.page_shift) lor Va.offset g va
-      end
-  in
-  let r = Data_cache.access_bits t.cache ~space:0 ~va ~pa ~write in
-  if r = 0 then begin
-      m.Metrics.cache_hits <- m.Metrics.cache_hits + 1;
-      Os_core.charge t.os c.Cost_model.cache_hit;
-      if write then Os_core.mark_dirty t.os ~vpn
-  end
-  else begin
-      m.Metrics.cache_misses <- m.Metrics.cache_misses + 1;
-      Machine_common.charge_fill t.os t.l2 ~va ~pa ~write;
-      if r land 2 <> 0 then begin
-        m.Metrics.cache_writebacks <- m.Metrics.cache_writebacks + 1;
-        Os_core.charge t.os c.Cost_model.cache_writeback
-      end;
-      m.Metrics.cache_synonyms <- Data_cache.synonyms_detected t.cache;
-      (* translation was needed to fill the line *)
-      (let e = Tlb.lookup t.tlb ~space:0 ~vpn in
-       if e <> Tlb.absent then begin
-         m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
-         Tlb.mark_used t.tlb ~space:0 ~vpn ~write
-       end
-       else begin
-         m.Metrics.tlb_misses <- m.Metrics.tlb_misses + 1;
-         Os_core.kernel_entry t.os;
-         let pfn = ensure_mapped t vpn in
-         Tlb.install t.tlb ~space:0 ~vpn
-           (Tlb.pack ~pfn ~rights:Rights.rwx ~aid:0 ~dirty:write
-              ~referenced:true);
-         m.Metrics.tlb_refills <- m.Metrics.tlb_refills + 1;
-         Os_core.charge t.os c.Cost_model.tlb_refill
-       end);
-      if write then Os_core.mark_dirty t.os ~vpn
+      (* Not mapped: the cache cannot hold the line, so this access will
+         miss and the TLB miss handler pages it in. *)
+      ignore (Tlb.lookup t.tlb ~space:0 ~vpn);
+      (tlb_refill t vpn ~dirty:false lsl g.Geometry.page_shift)
+      lor Va.offset g va
     end
+  in
+  if not (cache_access t ~space:0 ~va ~pa ~write) then begin
+    (* translation was needed to fill the line *)
+    let e = Tlb.lookup t.tlb ~space:0 ~vpn in
+    if e <> Tlb.absent then begin
+      let m = t.os.Os_core.metrics in
+      m.Metrics.tlb_hits <- m.Metrics.tlb_hits + 1;
+      Tlb.mark_used t.tlb ~space:0 ~vpn ~write
+    end
+    else ignore (tlb_refill t vpn ~dirty:write)
+  end;
+  if write then Os_core.mark_dirty t.os ~vpn
 
 let access t kind va =
-  let m = metrics t in
-  let c = cost t in
-  m.Metrics.accesses <- m.Metrics.accesses + 1;
-  (match kind with
-  | Access.Write -> m.Metrics.writes <- m.Metrics.writes + 1
-  | Access.Read | Access.Execute -> m.Metrics.reads <- m.Metrics.reads + 1);
-  let pd = current_domain t in
+  let m = t.os.Os_core.metrics in
+  let c = t.os.Os_core.cost in
+  count_access t kind;
+  let pd = t.os.Os_core.current in
   let needed = Access.rights_needed kind in
   (* PLB probe, in parallel with the cache lookup (Figure 1); with a code
      context loaded, the context-tagged bank is probed as well (Okamoto) *)
-  let primary = Plb.lookup_bits t.plb ~pd ~va in
+  let primary = Plb.lookup_bits t.prot.plb ~pd ~va in
   if primary >= 0 then m.Metrics.plb_hits <- m.Metrics.plb_hits + 1
   else m.Metrics.plb_misses <- m.Metrics.plb_misses + 1;
   let primary_allows =
@@ -428,10 +302,10 @@ let access t kind va =
   in
   let context_allows =
     (not primary_allows)
-    && (match t.code_context with
+    && (match t.prot.code_context with
        | None -> false
        | Some cseg ->
-           let r = Plb.lookup_bits t.plb ~pd:(ctx_pd cseg) ~va in
+           let r = Plb.lookup_bits t.prot.plb ~pd:(ctx_pd cseg) ~va in
            if r >= 0 then begin
              m.Metrics.plb_hits <- m.Metrics.plb_hits + 1;
              Rights.subset needed (Rights.of_int r)
@@ -452,7 +326,7 @@ let access t kind va =
     let domain_truth = Os_core.rights t.os pd va in
     if Rights.subset needed domain_truth then begin
       (* refresh/refill the domain-tagged entry and restart *)
-      ignore (Plb.invalidate t.plb ~pd ~va);
+      ignore (Plb.invalidate t.prot.plb ~pd ~va);
       plb_refill t pd va domain_truth;
       data_path t kind va;
       Access.Ok
@@ -462,24 +336,21 @@ let access t kind va =
       if Rights.subset needed gr then begin
         (* granted through the execution point: install under the context
            tag so subsequent references hit without the kernel *)
-        (match t.code_context with
+        (match t.prot.code_context with
         | Some cseg ->
-            let fine = List.hd (Plb.shifts t.plb) in
-            Plb.install t.plb ~pd:(ctx_pd cseg) ~va ~shift:fine gr;
+            let fine = List.hd (Plb.shifts t.prot.plb) in
+            Plb.install t.prot.plb ~pd:(ctx_pd cseg) ~va ~shift:fine gr;
             m.Metrics.plb_refills <- m.Metrics.plb_refills + 1;
             Os_core.charge t.os c.Cost_model.plb_refill
         | None -> ());
         data_path t kind va;
         Access.Ok
       end
-      else begin
-        m.Metrics.protection_faults <- m.Metrics.protection_faults + 1;
-        Access.Protection_fault
-      end
+      else protection_fault t
     end
   end
 
-let resident_prot_entries_for t va = Plb.entries_for_va t.plb va
+let resident_prot_entries_for t va = Plb.entries_for_va t.prot.plb va
 
 let hw_over_allows t probes =
   List.exists
@@ -490,6 +361,6 @@ let hw_over_allows t probes =
         (fun epd base shift r ->
           if Pd.equal epd pd && base = va land lnot ((1 lsl shift) - 1) then
             if not (Rights.subset r truth) then over := true)
-        t.plb;
+        t.prot.plb;
       !over)
     probes

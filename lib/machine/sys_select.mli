@@ -33,9 +33,3 @@ val make_smp :
   System_intf.packed
 (** Instantiate smp-lifted with explicit parameters, ignoring the
     process-global defaults (for experiments that vary cores per row). *)
-
-val make_all : Config.t -> System_intf.packed list
-(** One fresh instance of every model, in the order of {!all}. *)
-
-val sas_pair : Config.t -> System_intf.packed * System_intf.packed
-(** The paper's two single-address-space contenders: (PLB, page-group). *)

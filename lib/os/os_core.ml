@@ -198,6 +198,11 @@ let attachment t pd (seg : Segment.t) =
   let v = Flat_tab.find t.store.f_attachments ~k1:(Pd.to_int pd) ~k2:sid in
   if v < 0 then None else Some (Rights.of_int v)
 
+let narrows t pd seg r =
+  match attachment t pd seg with
+  | Some old -> not (Rights.subset old r)
+  | None -> false
+
 let bump_count t pd va delta =
   match Segment_table.find_id_by_va t.segments va with
   | -1 -> ()
@@ -254,6 +259,14 @@ let override_units_in_segment t pd (seg : Segment.t) =
     !units
   end
 
+let protect_segment t pd seg r =
+  let units = override_units_in_segment t pd seg in
+  List.iter
+    (fun u -> clear_override t pd (u lsl t.geom.Geometry.prot_shift))
+    units;
+  set_attachment t pd seg r;
+  units
+
 let unit_overrides s unit =
   Flat_tab.find s.f_unit_over ~k1:(unit_k1 unit) ~k2:(unit_k2 unit)
 
@@ -281,6 +294,20 @@ let domains_with_rights t va =
       (* candidate lists are unordered; the documented order is creation
          order, which is ascending pd since ids are monotonic *)
       List.filter_map keep (List.sort_uniq compare pds)
+
+let protect_all t va r =
+  match Segment_table.find_by_va t.segments va with
+  | None -> ()
+  | Some seg ->
+      List.iter
+        (fun pd ->
+          match attachment t pd seg with
+          | Some _ -> set_override t pd va r
+          | None ->
+              (* an override may exist without an attachment *)
+              if not (Rights.equal (rights t pd va) Rights.none) then
+                set_override t pd va r)
+        (domain_list t)
 
 let charge t cycles = t.metrics.Metrics.cycles <- t.metrics.Metrics.cycles + cycles
 

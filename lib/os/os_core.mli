@@ -80,6 +80,12 @@ val remove_attachment : t -> Pd.t -> Segment.t -> unit
 
 val attachment : t -> Pd.t -> Segment.t -> Rights.t option
 
+val narrows : t -> Pd.t -> Segment.t -> Rights.t -> bool
+(** Whether attaching the segment with these rights would take away a
+    right the domain's current attachment grants — a restriction, after
+    which resident hardware entries may over-allow. False when the domain
+    is not attached. *)
+
 val set_override : t -> Pd.t -> Va.t -> Rights.t -> unit
 (** Per-domain, per-protection-unit rights for the unit containing [va]. *)
 
@@ -100,6 +106,17 @@ val has_overrides : t -> Pd.t -> Segment.t -> bool
 val override_units_in_segment : t -> Pd.t -> Segment.t -> int list
 (** Protection units inside the segment for which the domain has an
     override. *)
+
+val protect_segment : t -> Pd.t -> Segment.t -> Rights.t -> int list
+(** The truth half of [SYSTEM.protect_segment]: clear the domain's
+    overrides inside the segment, then set its attachment rights. Returns
+    the protection units whose overrides were cleared. *)
+
+val protect_all : t -> Va.t -> Rights.t -> unit
+(** The truth half of [SYSTEM.protect_all]: set [rights] on the
+    protection unit containing [va] for every domain attached to its
+    segment, and for every other domain already holding rights there. No
+    change outside a live segment. *)
 
 (** {2 Memory} *)
 

@@ -712,12 +712,16 @@ let test_warm_hits_allocate_nothing v () =
    evicted page leaves nothing behind: no L1 line for its frame's next
    tenant to meet as a synonym, no L2 line for that tenant to hit, and no
    TLB entry that would let the page skip its fault when it returns. *)
-let test_eviction_releases_frame v () =
+let frame_pressure v =
   let sys = Machines.make v (Config.v ~frames:4 ~l2_bytes:(64 * 1024) ()) in
   let d = System_ops.new_domain sys in
   let seg = System_ops.new_segment sys ~pages:12 () in
   System_ops.attach sys d seg Rights.rw;
   System_ops.switch_domain sys d;
+  (sys, seg)
+
+let test_eviction_releases_frame v () =
+  let sys, seg = frame_pressure v in
   for _ = 1 to 6 do
     for i = 0 to 11 do
       ignore (System_ops.write sys (Segment.page_va seg i))
@@ -728,6 +732,27 @@ let test_eviction_releases_frame v () =
   Alcotest.(check int) "no synonym" 0 m.Metrics.cache_synonyms;
   Alcotest.(check int) "no L2 hit on a previous tenant's line" 0
     m.Metrics.l2_hits
+
+(* Evicting must not allocate either: under frame pressure every write
+   below pages a page in and another out, through the hook built at
+   creation. Page-group and pk are left out: their TLB refill, which
+   every such write also takes, derives the entry's group or key from
+   allocated tables. *)
+let test_eviction_allocates_nothing v () =
+  let sys, seg = frame_pressure v in
+  let rounds () =
+    for i = 0 to 599 do
+      ignore
+        (Sys.opaque_identity
+           (System_ops.write sys (Segment.page_va seg (i mod 12))))
+    done
+  in
+  rounds ();
+  let faults () = (System_ops.metrics sys).Metrics.page_faults in
+  let f0 = faults () in
+  let words = Test_data_cache.minor_words_in rounds in
+  Alcotest.(check int) "every write evicts" 600 (faults () - f0);
+  Alcotest.(check (float 0.)) "minor words over 600 evicting writes" 0. words
 
 (* A single address space never counts a synonym (EXPERIMENTS.md
    invariant 3), paging included: random conformance scripts on machines
@@ -745,7 +770,7 @@ let synonym_configs =
   ]
 
 let prop_sas_never_synonyms =
-  QCheck2.Test.make ~count:25
+  QCheck2.Test.make ~count:100
     ~name:"single address space never counts a synonym"
     ~print:string_of_int (QCheck2.Gen.int_bound 0x3FFF_FFFF) (fun seed ->
       let script =
@@ -768,10 +793,10 @@ let prop_sas_never_synonyms =
 (* Whole-run goldens: a seeded 600-op conformance script on a small
    machine (8 frames under 12 pages, 2x2 PLB, 2x4 TLB, 4-entry page-group
    cache), so paging, evictions, purges and rights rewrites all run. The
-   one-core values changed once, when eviction began to release the
-   victim's frame (its lines in both cache levels and its TLB entry);
-   before, the hook that does so never ran. Only non-zero counters enter
-   a digest, so a new counter that stays zero here keeps it. *)
+   one-core runs evict, so their values also pin what eviction releases:
+   the victim's lines in both cache levels and its TLB entries. Only
+   non-zero counters enter a digest, so a new counter that stays zero
+   here keeps it. *)
 let golden_config =
   Config.v ~frames:8 ~plb_sets:2 ~plb_ways:2 ~tlb_sets:2 ~tlb_ways:4
     ~pg_entries:4 ()
@@ -897,6 +922,14 @@ let suite =
           (Printf.sprintf "eviction releases the frame [%s]" label)
           `Quick (test_eviction_releases_frame v))
       Machines.all
+  @ List.map
+      (fun (label, v) ->
+        Alcotest.test_case
+          (Printf.sprintf "eviction allocates nothing [%s]" label)
+          `Quick (test_eviction_allocates_nothing v))
+      (List.filter
+         (fun (_, v) -> v <> Machines.Page_group && v <> Machines.Pk)
+         Machines.all)
   @ [ Qprop.to_alcotest prop_sas_never_synonyms ]
   @ List.map
       (fun (label, v) ->
